@@ -5,8 +5,8 @@ Subcommands: ``enumerate`` (length balls, with a JSON cache), ``compute``
 suites), and ``graph`` (the Bruhat Hasse diagram as DOT).
 
 Exit codes: 0 success, 1 a check suite reported failures, 2 usage/config
-errors (including expression parse errors and violated preconditions),
-3 resource bound exceeded.
+errors (including expression parse errors, violated preconditions and
+unexpected errors), 3 resource bound exceeded.
 
 Expression grammar, one operation per invocation, whitespace separated:
 
@@ -144,6 +144,12 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
                 and data.get("rank") == system.rank
                 and data.get("maxlen") == n
             ):
+                total = sum(len(shell) for shell in data["elements"])
+                if total > max_elements:
+                    raise ResourceBoundError(
+                        f"cached ball {path} holds {total} elements, "
+                        f"more than {max_elements}"
+                    )
                 return [
                     [weyl.element_from_jsonable(system, e) for e in shell]
                     for shell in data["elements"]
@@ -175,9 +181,6 @@ def cmd_enumerate(args) -> int:
     ]
     if args.output_format == "table":
         for g in groups:
-            words = " ".join(
-                "".join(map(str, w["word"])) or "-" for w in g["elements"][:12]
-            )
             print(f"length {g['length']}: {g['count']} elements")
     else:
         print(_dump(groups))
@@ -376,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # last resort: no input may end in a traceback
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

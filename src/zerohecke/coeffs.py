@@ -12,20 +12,48 @@ guard against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .rootdata import RootSystem, Vector
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Sorenson and Webster (Math. Comp. 2017): below this bound, a strong
+# probable prime to the first thirteen prime bases is prime.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+@functools.lru_cache(maxsize=256)
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n below 3.3 * 10**24.
+
+    Raises ValueError at or above that bound, where no fixed base set is
+    proven exact.
+    """
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"{n} is at or above the primality bound {_MILLER_RABIN_BOUND}"
+        )
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -93,76 +121,92 @@ class FieldElement:
         return self.residue
 
 
-# -- the torus group ring --------------------------------------------------
+# -- sparse maps -------------------------------------------------------------
 
 
-class GroupRingElement:
-    """A finitely supported map from exponent vectors to GF(p), as a ring.
+class SparseElement:
+    """A finitely supported map from keys to coefficients, never storing zero.
 
-    ``nvars`` is rank+1: one loop-rotation exponent plus one per simple
-    root.  Multiplication convolves exponents additively.
+    The common shape of the torus group ring, the dominant monoid ring, the
+    Hecke algebra and the Schubert-class modules.  A subclass names its two
+    parameters in ``_params`` and is built as ``Cls(param, param, terms)``;
+    two values add, and compare equal, only when they share class and
+    parameters.  It canonicalizes and validates keys in ``_key``, orders
+    them by ``_sort_key`` and formats one term in ``_term_repr``; the
+    integer rings also reduce coefficients mod p in ``_reduce``.  Since
+    zeros are pruned, equality is dict equality.
     """
 
-    __slots__ = ("p", "nvars", "terms")
+    __slots__ = ("terms",)
+    _params: tuple[str, str]
 
-    def __init__(self, p: int, nvars: int, terms: Mapping[Vector, int] | None = None):
-        self.p = p
-        self.nvars = nvars
-        clean: dict[Vector, int] = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has length != {nvars}")
-            c = c % p
-            if c:
-                clean[exp] = (clean.get(exp, 0) + c) % p
-                if not clean[exp]:
-                    del clean[exp]
-        self.terms = clean
+    def __init__(self, first, second, terms: Mapping | None = None):
+        a, b = self._params
+        setattr(self, a, first)
+        setattr(self, b, second)
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            self.add_term(self._key(key), c)
 
-    def _check(self, other: "GroupRingElement"):
-        if not isinstance(other, GroupRingElement):
-            raise TypeError(f"expected GroupRingElement, got {type(other).__name__}")
-        if self.p != other.p or self.nvars != other.nvars:
-            raise ValueError(
-                f"mixed ring parameters (p={self.p}, n={self.nvars}) and "
-                f"(p={other.p}, n={other.nvars})"
-            )
+    def _reduce(self, c):
+        return c
 
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = (terms.get(exp, 0) + c) % self.p
-            if v:
-                terms[exp] = v
-            elif exp in terms:
-                del terms[exp]
-        out = GroupRingElement(self.p, self.nvars)
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    def _param_values(self) -> tuple:
+        a, b = self._params
+        return getattr(self, a), getattr(self, b)
+
+    def _like(self, terms: dict):
+        """A value with self's parameters and the given canonical terms."""
+        out = object.__new__(type(self))
+        a, b = self._params
+        setattr(out, a, getattr(self, a))
+        setattr(out, b, getattr(self, b))
         out.terms = terms
         return out
 
-    def __neg__(self):
-        out = GroupRingElement(self.p, self.nvars)
-        out.terms = {exp: self.p - c for exp, c in self.terms.items()}
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self._param_values() != other._param_values():
+            raise ValueError(
+                f"mixed {type(self).__name__} parameters "
+                f"{self._param_values()} and {other._param_values()}"
+            )
+
+    def add_term(self, key, c) -> None:
+        """Add c to the coefficient of a canonical key in place, pruning zero.
+
+        For accumulating into a value that no one else holds yet.
+        """
+        terms = self.terms
+        old = terms.get(key)
+        c = self._reduce(c if old is None else old + c)
+        if c:
+            terms[key] = c
+        elif old is not None:
+            del terms[key]
+
+    def __add__(self, other):
+        self._check(other)
+        out = self._like(dict(self.terms))
+        for key, c in other.terms.items():
+            out.add_term(key, c)
         return out
+
+    def __neg__(self):
+        return self._like({key: self._reduce(-c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        self._check(other)
-        terms: dict[Vector, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                v = (terms.get(exp, 0) + c1 * c2) % self.p
-                if v:
-                    terms[exp] = v
-                elif exp in terms:
-                    del terms[exp]
-        out = GroupRingElement(self.p, self.nvars)
-        out.terms = terms
+    def scale(self, c):
+        out = self._like({})
+        for key, v in self.terms.items():
+            out.add_term(key, v * c)
         return out
 
     def __bool__(self):
@@ -170,24 +214,69 @@ class GroupRingElement:
 
     def __eq__(self, other):
         return (
-            isinstance(other, GroupRingElement)
-            and self.p == other.p
-            and self.nvars == other.nvars
+            type(other) is type(self)
+            and self._param_values() == other._param_values()
             and self.terms == other.terms
         )
 
     __hash__ = None
 
+    def sorted_terms(self) -> list:
+        """The (key, coefficient) pairs in canonical order."""
+        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
+
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = [f"{c}*x^{list(e)}" for e, c in sorted(self.terms.items())]
-        return " + ".join(bits)
+        return " + ".join(self._term_repr(key, c) for key, c in self.sorted_terms())
+
+
+class _ModPRing(SparseElement):
+    """Integer coefficients mod ``p``; keys add coordinatewise under ``*``."""
+
+    __slots__ = ()
+
+    def _reduce(self, c):
+        return c % self.p
+
+    def __mul__(self, other):
+        self._check(other)
+        p = self.p
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                v = (terms.get(key, 0) + c1 * c2) % p
+                if v:
+                    terms[key] = v
+                elif key in terms:
+                    del terms[key]
+        return self._like(terms)
+
+
+# -- the torus group ring --------------------------------------------------
+
+
+class GroupRingElement(_ModPRing):
+    """A finitely supported map from exponent vectors to GF(p), as a ring.
+
+    ``nvars`` is rank+1: one loop-rotation exponent plus one per simple
+    root.  Multiplication convolves exponents additively.
+    """
+
+    __slots__ = _params = ("p", "nvars")
+
+    def _key(self, exp):
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != self.nvars:
+            raise ValueError(f"exponent {exp} has length != {self.nvars}")
+        return exp
+
+    def _term_repr(self, exp, c):
+        return f"{c}*x^{list(exp)}"
 
     def to_jsonable(self) -> list:
-        return [
-            {"exp": list(exp), "coeff": c} for exp, c in sorted(self.terms.items())
-        ]
+        return [{"exp": list(exp), "coeff": c} for exp, c in self.sorted_terms()]
 
 
 def specialize_at_identity(a: GroupRingElement) -> FieldElement:
@@ -266,88 +355,26 @@ def torus_ring(system: RootSystem, p: int) -> TorusRing:
 # -- the dominant monoid ring ----------------------------------------------
 
 
-class DominantMonoidElement:
+class DominantMonoidElement(_ModPRing):
     """Finitely supported map from dominant coweights to GF(p), as a ring.
 
     Keys add coweight-wise under multiplication; dominance is preserved
     because the dominant coweights form a monoid.
     """
 
-    __slots__ = ("system", "p", "terms")
+    __slots__ = _params = ("system", "p")
 
-    def __init__(
-        self,
-        system: RootSystem,
-        p: int,
-        terms: Mapping[Vector, int] | None = None,
-    ):
-        self.system = system
-        self.p = _check_prime(p)
-        clean: dict[Vector, int] = {}
-        for lam, c in (terms or {}).items():
-            lam = tuple(int(x) for x in lam)
-            if not system.is_dominant(lam):
-                raise ValueError(f"coweight {lam} is not dominant")
-            c = c % p
-            if c:
-                clean[lam] = (clean.get(lam, 0) + c) % p
-                if not clean[lam]:
-                    del clean[lam]
-        self.terms = clean
+    def __init__(self, system: RootSystem, p: int, terms: Mapping | None = None):
+        super().__init__(system, _check_prime(p), terms)
 
-    def _check(self, other: "DominantMonoidElement"):
-        if not isinstance(other, DominantMonoidElement):
-            raise TypeError(
-                f"expected DominantMonoidElement, got {type(other).__name__}"
-            )
-        if self.system != other.system or self.p != other.p:
-            raise ValueError("mixed monoid ring parameters")
+    def _key(self, lam):
+        lam = tuple(int(x) for x in lam)
+        if not self.system.is_dominant(lam):
+            raise ValueError(f"coweight {lam} is not dominant")
+        return lam
 
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            v = (terms.get(lam, 0) + c) % self.p
-            if v:
-                terms[lam] = v
-            elif lam in terms:
-                del terms[lam]
-        out = DominantMonoidElement(self.system, self.p)
-        out.terms = terms
-        return out
-
-    def __mul__(self, other):
-        self._check(other)
-        terms: dict[Vector, int] = {}
-        for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                lam = tuple(a + b for a, b in zip(l1, l2))
-                v = (terms.get(lam, 0) + c1 * c2) % self.p
-                if v:
-                    terms[lam] = v
-                elif lam in terms:
-                    del terms[lam]
-        out = DominantMonoidElement(self.system, self.p)
-        out.terms = terms
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DominantMonoidElement)
-            and self.system == other.system
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*t^{list(l)}" for l, c in sorted(self.terms.items()))
+    def _term_repr(self, lam, c):
+        return f"{c}*t^{list(lam)}"
 
 
 def monoid_unit(system: RootSystem, p: int) -> DominantMonoidElement:

@@ -18,10 +18,8 @@ ring is carried explicitly so that the zero element knows its parameters.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from . import weyl
-from .coeffs import DominantMonoidElement, PrimeField, TorusRing
+from .coeffs import DominantMonoidElement, PrimeField, SparseElement, TorusRing
 from .rootdata import RootSystem
 from .weyl import AffineWeylElement
 
@@ -30,80 +28,24 @@ Ring = PrimeField | TorusRing
 BASIS_DIRECTIONS = ("y_to_ytilde", "ytilde_to_y")
 
 
-class HeckeElement:
+class HeckeElement(SparseElement):
     """A sparse algebra element over an explicit coefficient ring."""
 
-    __slots__ = ("system", "ring", "terms")
+    __slots__ = _params = ("system", "ring")
+    _sort_key = staticmethod(weyl.element_sort_key)
 
-    def __init__(
-        self,
-        system: RootSystem,
-        ring: Ring,
-        terms: Mapping[AffineWeylElement, object] | None = None,
-    ):
-        self.system = system
-        self.ring = ring
-        clean = {}
-        for w, c in (terms or {}).items():
-            if w.system != system:
-                raise ValueError(f"basis element {w!r} lies in {w.system!r}")
-            if c:
-                clean[w] = c
-        self.terms = clean
-
-    def _check(self, other: "HeckeElement"):
-        if not isinstance(other, HeckeElement):
-            raise TypeError(f"expected HeckeElement, got {type(other).__name__}")
-        if self.system != other.system or self.ring != other.ring:
-            raise ValueError("mixed Hecke algebra parameters")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            v = terms.get(w)
-            v = c if v is None else v + c
-            if v:
-                terms[w] = v
-            elif w in terms:
-                del terms[w]
-        return HeckeElement(self.system, self.ring, terms)
-
-    def __neg__(self):
-        return HeckeElement(self.system, self.ring, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _key(self, w):
+        if w.system != self.system:
+            raise ValueError(f"basis element {w!r} lies in {w.system!r}")
+        return w
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             return multiply_hecke(self, other)
         return NotImplemented
 
-    def scale(self, c) -> "HeckeElement":
-        return HeckeElement(self.system, self.ring, {w: v * c for w, v in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.system == other.system
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = [
-            f"({c!r})*Y{weyl.reduced_word(w)}"
-            for w, c in sorted(self.terms.items(), key=lambda t: weyl.element_sort_key(t[0]))
-        ]
-        return " + ".join(bits)
+    def _term_repr(self, w, c):
+        return f"({c!r})*Y{weyl.reduced_word(w)}"
 
 
 def hecke_zero(system: RootSystem, ring: Ring) -> HeckeElement:
@@ -134,11 +76,9 @@ def convert_basis(h: HeckeElement, direction: str) -> HeckeElement:
     """
     if direction not in BASIS_DIRECTIONS:
         raise ValueError(f"direction must be one of {BASIS_DIRECTIONS}, got {direction!r}")
-    terms = {}
-    for w, c in h.terms.items():
-        sign = h.ring.from_int((-1) ** weyl.length(w))
-        terms[w] = c * sign
-    return HeckeElement(h.system, h.ring, terms)
+    return h._like(
+        {w: c * h.ring.from_int((-1) ** weyl.length(w)) for w, c in h.terms.items()}
+    )
 
 
 def demazure_product(w: AffineWeylElement, x: AffineWeylElement) -> AffineWeylElement:
@@ -157,18 +97,11 @@ def multiply_hecke(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     the canonical sparse form prunes them.
     """
     a._check(b)
-    terms = {}
+    out = a._like({})
     for w, cw in a.terms.items():
         for x, cx in b.terms.items():
-            target = demazure_product(w, x)
-            c = cw * cx
-            v = terms.get(target)
-            v = c if v is None else v + c
-            if v:
-                terms[target] = v
-            elif target in terms:
-                del terms[target]
-    return HeckeElement(a.system, a.ring, terms)
+            out.add_term(demazure_product(w, x), cw * cx)
+    return out
 
 
 def embed_dominant(m: DominantMonoidElement) -> HeckeElement:
@@ -179,10 +112,10 @@ def embed_dominant(m: DominantMonoidElement) -> HeckeElement:
     """
     system = m.system
     ring = PrimeField(m.p)
-    terms = {}
-    for lam, c in m.terms.items():
-        terms[weyl.translation_element(system, lam)] = ring.from_int(c)
-    return HeckeElement(system, ring, terms)
+    return HeckeElement(
+        system, ring,
+        {weyl.translation_element(system, lam): ring.from_int(c) for lam, c in m.terms.items()},
+    )
 
 
 def to_jsonable(h: HeckeElement, basis: str = "Y") -> list:
@@ -190,21 +123,19 @@ def to_jsonable(h: HeckeElement, basis: str = "Y") -> list:
     if basis not in ("Y", "Ytilde"):
         raise ValueError(f"basis must be 'Y' or 'Ytilde', got {basis!r}")
     src = h if basis == "Y" else convert_basis(h, "y_to_ytilde")
-    out = []
-    for w in sorted(src.terms, key=weyl.element_sort_key):
-        out.append(
-            {"elem": weyl.element_to_jsonable(w), "coeff": src.terms[w].to_jsonable()}
-        )
-    return out
+    return [
+        {"elem": weyl.element_to_jsonable(w), "coeff": c.to_jsonable()}
+        for w, c in src.sorted_terms()
+    ]
 
 
 def from_jsonable(
     system: RootSystem, ring: Ring, data: list, basis: str = "Y"
 ) -> HeckeElement:
-    terms = {}
-    for t in data:
-        w = weyl.element_from_jsonable(system, t["elem"])
-        terms[w] = ring.coeff_from_jsonable(t["coeff"])
+    terms = {
+        weyl.element_from_jsonable(system, t["elem"]): ring.coeff_from_jsonable(t["coeff"])
+        for t in data
+    }
     h = HeckeElement(system, ring, terms)
     if basis == "Ytilde":
         h = convert_basis(h, "ytilde_to_y")

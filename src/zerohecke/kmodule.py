@@ -17,88 +17,27 @@ vector first and the operator second to keep that order visible.
 from __future__ import annotations
 
 import functools
-from typing import Mapping
 
-from . import weyl
-from .coeffs import PrimeField, TorusRing, specialize_at_identity, torus_ring
+from . import hecke, weyl
+from .coeffs import PrimeField, SparseElement, TorusRing, specialize_at_identity
 from .hecke import HeckeElement, Ring, basis_y
 from .rootdata import RootSystem, Vector
 from .weyl import AffineWeylElement
 
 
-class SchubertVector:
+class SchubertVector(SparseElement):
     """A sparse vector over the Schubert-class basis of the full flag module."""
 
-    __slots__ = ("system", "ring", "terms")
+    __slots__ = _params = ("system", "ring")
+    _sort_key = staticmethod(weyl.element_sort_key)
 
-    def __init__(
-        self,
-        system: RootSystem,
-        ring: Ring,
-        terms: Mapping[AffineWeylElement, object] | None = None,
-    ):
-        self.system = system
-        self.ring = ring
-        clean = {}
-        for w, c in (terms or {}).items():
-            if w.system != system:
-                raise ValueError(f"class key {w!r} lies in {w.system!r}")
-            if c:
-                clean[w] = c
-        self.terms = clean
+    def _key(self, w):
+        if w.system != self.system:
+            raise ValueError(f"class key {w!r} lies in {w.system!r}")
+        return w
 
-    def _check(self, other: "SchubertVector"):
-        if not isinstance(other, SchubertVector):
-            raise TypeError(f"expected SchubertVector, got {type(other).__name__}")
-        if self.system != other.system or self.ring != other.ring:
-            raise ValueError("mixed module parameters")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            v = terms.get(w)
-            v = c if v is None else v + c
-            if v:
-                terms[w] = v
-            elif w in terms:
-                del terms[w]
-        return SchubertVector(self.system, self.ring, terms)
-
-    def __neg__(self):
-        return SchubertVector(
-            self.system, self.ring, {w: -c for w, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "SchubertVector":
-        return SchubertVector(
-            self.system, self.ring, {w: v * c for w, v in self.terms.items()}
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchubertVector)
-            and self.system == other.system
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = [
-            f"({c!r})*[S{weyl.reduced_word(w)}]"
-            for w, c in sorted(self.terms.items(), key=lambda t: weyl.element_sort_key(t[0]))
-        ]
-        return " + ".join(bits)
+    def _term_repr(self, w, c):
+        return f"({c!r})*[S{weyl.reduced_word(w)}]"
 
 
 def module_zero(system: RootSystem, ring: Ring) -> SchubertVector:
@@ -130,16 +69,10 @@ def demazure_apply(v: SchubertVector, i: int) -> SchubertVector:
     """Apply one Demazure operator on the right: ``v . D_i``."""
     if not 0 <= i <= v.system.rank:
         raise ValueError(f"operator index {i} out of range 0..{v.system.rank}")
-    terms = {}
+    out = v._like({})
     for w, c in v.terms.items():
-        target = demazure_basis_target(w, i)
-        cur = terms.get(target)
-        cur = c if cur is None else cur + c
-        if cur:
-            terms[target] = cur
-        elif target in terms:
-            del terms[target]
-    return SchubertVector(v.system, v.ring, terms)
+        out.add_term(demazure_basis_target(w, i), c)
+    return out
 
 
 def demazure_word_apply(v: SchubertVector, w: AffineWeylElement) -> SchubertVector:
@@ -180,7 +113,8 @@ def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
     out = module_zero(v.system, v.ring)
     for x, c in h.terms.items():
         c = _coerce_action_coeff(v.ring, h.ring, c)
-        out = out + demazure_word_apply(v, x).scale(c)
+        for w, d in demazure_word_apply(v, x).terms.items():
+            out.add_term(w, d * c)
     return out
 
 
@@ -200,7 +134,7 @@ def hecke_from_schubert(v: SchubertVector) -> HeckeElement:
 # -- the Grassmannian side ----------------------------------------------------
 
 
-class GrassmannianVector:
+class GrassmannianVector(SparseElement):
     """A sparse vector over Schubert classes of the Grassmannian quotient.
 
     Keys are coweights labeling classes on translations; they are
@@ -208,45 +142,13 @@ class GrassmannianVector:
     orbit, which is the minimal-length labeling of the underlying coset.
     """
 
-    __slots__ = ("system", "ring", "terms")
+    __slots__ = _params = ("system", "ring")
 
-    def __init__(
-        self,
-        system: RootSystem,
-        ring: Ring,
-        terms: Mapping[Vector, object] | None = None,
-    ):
-        self.system = system
-        self.ring = ring
-        clean: dict[Vector, object] = {}
-        for lam, c in (terms or {}).items():
-            key = weyl.antidominant_orbit_rep(system, tuple(lam))
-            if not c:
-                continue
-            cur = clean.get(key)
-            cur = c if cur is None else cur + c
-            if cur:
-                clean[key] = cur
-            elif key in clean:
-                del clean[key]
-        self.terms = clean
+    def _key(self, lam):
+        return weyl.antidominant_orbit_rep(self.system, tuple(lam))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrassmannianVector)
-            and self.system == other.system
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c!r})*[G{list(l)}]" for l, c in sorted(self.terms.items())
-        )
+    def _term_repr(self, lam, c):
+        return f"({c!r})*[G{list(lam)}]"
 
 
 def grassmannian_class(system: RootSystem, lam: Vector, ring: Ring) -> GrassmannianVector:
@@ -261,10 +163,7 @@ def grassmannian_pullback(g: GrassmannianVector) -> SchubertVector:
     element.  Injective, since distinct keys give distinct canonical forms.
     """
     w0 = weyl.longest_finite_element(g.system)
-    terms = {}
-    for lam, c in g.terms.items():
-        key = weyl.translation_element(g.system, lam) * w0
-        terms[key] = c
+    terms = {weyl.translation_element(g.system, lam) * w0: c for lam, c in g.terms.items()}
     return SchubertVector(g.system, g.ring, terms)
 
 
@@ -294,12 +193,8 @@ def spherical_act(lam: Vector, v: SchubertVector) -> SchubertVector:
                 f"support key {w!r} is not of the spherical form "
                 "(longest finite element times a dominant translation)"
             )
-    h = basis_y(weyl.translation_element(system, lam), PrimeField(_ring_p(v.ring)))
+    h = basis_y(weyl.translation_element(system, lam), PrimeField(v.ring.p))
     return hecke_act(v, h)
-
-
-def _ring_p(ring: Ring) -> int:
-    return ring.p
 
 
 # -- specialization ------------------------------------------------------------
@@ -314,48 +209,30 @@ def specialize(v: SchubertVector) -> SchubertVector:
     """
     if isinstance(v.ring, PrimeField):
         return v
-    field = PrimeField(v.ring.p)
-    terms = {}
-    for w, c in v.terms.items():
-        s = specialize_at_identity(c)
-        if s:
-            terms[w] = s
-    return SchubertVector(v.system, field, terms)
+    terms = {w: specialize_at_identity(c) for w, c in v.terms.items()}
+    return SchubertVector(v.system, PrimeField(v.ring.p), terms)
 
 
 # -- serialization --------------------------------------------------------------
 
 
 def schubert_to_jsonable(v: SchubertVector) -> list:
-    return [
-        {"elem": weyl.element_to_jsonable(w), "coeff": v.terms[w].to_jsonable()}
-        for w in sorted(v.terms, key=weyl.element_sort_key)
-    ]
+    """The schema of Hecke elements in the Y basis, through the isomorphism."""
+    return hecke.to_jsonable(hecke_from_schubert(v))
 
 
 def schubert_from_jsonable(system: RootSystem, ring: Ring, data: list) -> SchubertVector:
-    terms = {}
-    for t in data:
-        w = weyl.element_from_jsonable(system, t["elem"])
-        terms[w] = ring.coeff_from_jsonable(t["coeff"])
-    return SchubertVector(system, ring, terms)
+    return schubert_from_hecke(hecke.from_jsonable(system, ring, data))
 
 
 def grassmannian_to_jsonable(g: GrassmannianVector) -> list:
     return [
-        {"lambda": list(lam), "coeff": g.terms[lam].to_jsonable()}
-        for lam in sorted(g.terms)
+        {"lambda": list(lam), "coeff": c.to_jsonable()} for lam, c in g.sorted_terms()
     ]
 
 
 def grassmannian_from_jsonable(
     system: RootSystem, ring: Ring, data: list
 ) -> GrassmannianVector:
-    terms = {}
-    for t in data:
-        terms[tuple(t["lambda"])] = ring.coeff_from_jsonable(t["coeff"])
+    terms = {tuple(t["lambda"]): ring.coeff_from_jsonable(t["coeff"]) for t in data}
     return GrassmannianVector(system, ring, terms)
-
-
-def default_module_ring(system: RootSystem, p: int) -> TorusRing:
-    return torus_ring(system, p)

@@ -74,7 +74,6 @@ def _identity_matrix(n: int) -> Matrix:
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -370,9 +369,12 @@ def all_reduced_words(x: AffineWeylElement, max_length: int = 10) -> tuple[tuple
 # -- Bruhat order --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Bruhat-Chevalley order via the descent (lifting) recursion.
+    """Bruhat-Chevalley order via the descent (lifting) property.
+
+    Peel a right descent s of w; u <= w iff u' <= ws, where u' is us when s
+    is a descent of u and u otherwise.  Each step shortens w by one, so the
+    walk is a loop with both lengths tracked.
 
     >>> rs = build_root_system("A", 1)
     >>> bruhat_leq(generator(rs, 0), from_word(rs, [0, 1]))
@@ -382,15 +384,17 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     """
     if u.system != w.system:
         raise ValueError("Bruhat comparison across different root systems")
-    if u.is_identity():
-        return True
-    if length(u) > length(w):
-        return False
-    i = next(i for i in range(w.system.rank + 1) if is_right_descent(w, i))
-    ws = _mul_gen(w, i)
-    if is_right_descent(u, i):
-        return bruhat_leq(_mul_gen(u, i), ws)
-    return bruhat_leq(u, ws)
+    lu, lw = length(u), length(w)
+    while lu:
+        if lu > lw:
+            return False
+        i = next(i for i in range(w.system.rank + 1) if is_right_descent(w, i))
+        w = _mul_gen(w, i)
+        lw -= 1
+        if is_right_descent(u, i):
+            u = _mul_gen(u, i)
+            lu -= 1
+    return True
 
 
 # -- enumeration ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 from zerohecke import cli, kmodule, weyl
 from zerohecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
@@ -269,3 +270,50 @@ def test_graph_determinism(capsys):
     _, out1, _ = run(capsys, "graph", "--rank", "2", "--max-length", "2")
     _, out2, _ = run(capsys, "graph", "--rank", "2", "--max-length", "2")
     assert out1 == out2
+
+
+# -- robustness: every input maps to a documented exit code -------------------------
+
+
+def test_bruhat_on_long_elements_answers(capsys):
+    word = "[" + ",".join(["0,1,2,1"] * 300) + "]"
+    code, out, err = run(capsys, "compute", "--rank", "2", "bruhat", word, word)
+    assert code == EXIT_OK, err
+    assert json.loads(out) is True
+
+
+def test_unexpected_error_is_one_line_usage_exit(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_compute", boom)
+    code, out, err = run(capsys, "compute", "--rank", "1", "len", "[0]")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_warm_cache_respects_max_elements(tmp_path, capsys):
+    argv = ("enumerate", "--rank", "2", "--max-length", "10", "--cache", str(tmp_path))
+    code, _, _ = run(capsys, *argv, "--max-elements", "10")
+    assert code == EXIT_RESOURCE
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, err = run(capsys, *argv, "--max-elements", "10")
+    assert code == EXIT_RESOURCE
+    assert out == "" and err.startswith("error:")
+
+
+def test_large_prime_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "compute", "--prime", "1000000000000000003", "len", "[0]")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK and json.loads(out) == 1
+
+
+def test_prime_beyond_primality_bound_rejected(capsys):
+    code, _, err = run(capsys, "compute", "--prime", "3317044064679887385961981",
+                       "len", "[0]")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")

@@ -12,6 +12,7 @@ from zerohecke.coeffs import (
     GroupRingElement,
     PrimeField,
     TorusRing,
+    is_prime,
     monoid_monomial,
     monoid_unit,
     specialize_at_identity,
@@ -209,3 +210,36 @@ def test_group_ring_json_sorted_and_roundtrips():
 def test_field_json():
     assert FieldElement(7, 9).to_jsonable() == 2
     assert PrimeField(7).coeff_from_jsonable(2) == FieldElement(7, 2)
+
+
+# -- primality -------------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-5, 5000) if is_prime(n)] == [
+        n for n in range(-5, 5000) if trial(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (1000000000000000003, True),
+        (2**61 - 1, True),
+        (10**24 + 7, True),
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # ... to the first nine prime bases
+        (318665857834031151167461, False),  # ... to the first twelve
+    ],
+)
+def test_is_prime_large(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_rejects_numbers_beyond_its_bound():
+    # the smallest strong pseudoprime to the first thirteen prime bases
+    with pytest.raises(ValueError, match="bound"):
+        is_prime(3317044064679887385961981)
