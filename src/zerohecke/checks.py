@@ -6,10 +6,11 @@ coefficients matter) and returns a :class:`CheckReport`.  Failures carry
 the offending inputs and both sides in serialized form, so a reported
 counterexample can be replayed.
 
-Operator-level suites act on basis classes through
-``kmodule.demazure_basis_target`` looked up at call time; corrupting that
-rule (as the mutation-sanity tests do) corrupts the suites' subject and
-must surface as failures.
+Operator-level suites read ``kmodule.demazure_basis_target`` once per call
+and memoize it per (class, operator) in a run-local table walked by int
+ids.  No table outlives its call, so corrupting the rule (as the
+mutation-sanity tests do) corrupts the suites' subject and must surface
+as failures.
 """
 
 from __future__ import annotations
@@ -63,11 +64,40 @@ def _flat_ball(system: RootSystem, n: int):
     return [x for shell in weyl.enumerate_ball(system, n) for x in shell]
 
 
-def _walk(w, letters):
-    # the operator word applied to one basis class, through the live rule
-    for i in letters:
-        w = kmodule.demazure_basis_target(w, i)
-    return w
+class _ClassTable:
+    """Basis classes interned as ints for one suite call.
+
+    ``succ[k][i]`` is the id of the class that operator i sends class k
+    to, filled on first use from the rule read at construction.
+    """
+
+    def __init__(self, system: RootSystem):
+        self.rule = kmodule.demazure_basis_target
+        self.ids: dict = {}
+        self.elements: list = []
+        self.succ: list = []
+        self.width = system.rank + 1
+
+    def intern(self, w) -> int:
+        k = self.ids.get(w)
+        if k is None:
+            k = self.ids[w] = len(self.elements)
+            self.elements.append(w)
+            self.succ.append([None] * self.width)
+        return k
+
+    def walk(self, k: int, letters) -> int:
+        """The id reached from class k by applying the operators of letters."""
+        succ = self.succ
+        for i in letters:
+            nxt = succ[k][i]
+            if nxt is None:
+                nxt = succ[k][i] = self.intern(self.rule(self.elements[k], i))
+            k = nxt
+        return k
+
+    def word(self, k: int) -> list:
+        return _wordstr(self.elements[k])
 
 
 def _wordstr(x) -> list:
@@ -115,7 +145,9 @@ def check_braid(
     """Alternating Demazure words of the Coxeter order agree, per generator pair."""
     rng = rng or random.Random(0)
     report = CheckReport("braid")
+    table = _ClassTable(system)
     ball = _flat_ball(system, basis_bound)
+    ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
     for i in range(system.rank + 1):
         for j in range(i + 1, system.rank + 1):
@@ -124,14 +156,14 @@ def check_braid(
                 continue
             word_ij = tuple(i if k % 2 == 0 else j for k in range(m))
             word_ji = tuple(j if k % 2 == 0 else i for k in range(m))
-            for w in ball:
+            for k in ids:
                 report.count()
-                lhs = _walk(w, word_ij)
-                rhs = _walk(w, word_ji)
+                lhs = table.walk(k, word_ij)
+                rhs = table.walk(k, word_ji)
                 if lhs != rhs:
                     report.fail(
-                        {"i": i, "j": j, "m": m, "basis": _wordstr(w),
-                         "lhs": _wordstr(lhs), "rhs": _wordstr(rhs)}
+                        {"i": i, "j": j, "m": m, "basis": table.word(k),
+                         "lhs": table.word(lhs), "rhs": table.word(rhs)}
                     )
             for _ in range(n_random):
                 report.count()
@@ -160,23 +192,25 @@ def check_words(
     """Every reduced word of an element induces the same operator."""
     rng = rng or random.Random(0)
     report = CheckReport("words")
+    table = _ClassTable(system)
     ball = _flat_ball(system, basis_bound)
+    ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
     for x in _flat_ball(system, word_bound):
         words = weyl.all_reduced_words(x, max_length=word_bound)
         if len(words) < 2:
             continue
         ref = words[0]
-        for w in ball:
-            target = _walk(w, ref)
+        for k in ids:
+            target = table.walk(k, ref)
             for other in words[1:]:
                 report.count()
-                got = _walk(w, other)
+                got = table.walk(k, other)
                 if got != target:
                     report.fail(
                         {"element": _wordstr(x), "word": list(other),
-                         "reference_word": list(ref), "basis": _wordstr(w),
-                         "lhs": _wordstr(target), "rhs": _wordstr(got)}
+                         "reference_word": list(ref), "basis": table.word(k),
+                         "lhs": table.word(target), "rhs": table.word(got)}
                     )
         for _ in range(n_random):
             v = _random_vector(system, ring, ball, rng)
@@ -203,16 +237,19 @@ def check_compose(
     """Composites multiply along lengths, and every generator is idempotent."""
     rng = rng or random.Random(0)
     report = CheckReport("compose")
+    table = _ClassTable(system)
     basis = _flat_ball(system, basis_bound)
+    ids = [table.intern(w) for w in basis]
     ring = torus_ring(system, p)
 
     for s in range(system.rank + 1):
-        for w in basis:
+        for k in ids:
             report.count()
-            once = _walk(w, (s,))
-            if _walk(once, (s,)) != once:
-                report.fail({"generator": s, "basis": _wordstr(w),
-                             "lhs": _wordstr(_walk(once, (s,))), "rhs": _wordstr(once)})
+            once = table.walk(k, (s,))
+            twice = table.walk(once, (s,))
+            if twice != once:
+                report.fail({"generator": s, "basis": table.word(k),
+                             "lhs": table.word(twice), "rhs": table.word(once)})
 
     pool = _flat_ball(system, pair_bound)
     pairs = []
@@ -224,13 +261,13 @@ def check_compose(
                     pairs.append((u, v, uv))
     for u, v, uv in pairs:
         wu, wv, wuv = weyl.reduced_word(u), weyl.reduced_word(v), weyl.reduced_word(uv)
-        for w in basis:
+        for k in ids:
             report.count()
-            lhs = _walk(_walk(w, wu), wv)
-            rhs = _walk(w, wuv)
+            lhs = table.walk(table.walk(k, wu), wv)
+            rhs = table.walk(k, wuv)
             if lhs != rhs:
-                report.fail({"u": list(wu), "v": list(wv), "basis": _wordstr(w),
-                             "lhs": _wordstr(lhs), "rhs": _wordstr(rhs)})
+                report.fail({"u": list(wu), "v": list(wv), "basis": table.word(k),
+                             "lhs": table.word(lhs), "rhs": table.word(rhs)})
     for _ in range(n_random):
         if not pairs:
             break

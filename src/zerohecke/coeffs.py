@@ -222,7 +222,9 @@ class SparseElement:
     __hash__ = None
 
     def sorted_terms(self) -> list:
-        """The (key, coefficient) pairs in canonical order."""
+        """The (key, coefficient) pairs in canonical order; one term needs no key."""
+        if len(self.terms) < 2:
+            return list(self.terms.items())
         return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
 
     def __repr__(self):

@@ -6,14 +6,14 @@ Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Equality and
 multiplication are therefore O(rank^2) with no word rewriting.
 
 The generator of index 0 is the affine reflection in the hyperplane of the
-highest root at level one, realized as ``t^(theta_coroot) s_theta``.  Length
-and descents are computed through the action on affine root pairs
-``(alpha, m)``:
+highest root at level one, realized as ``t^(theta_coroot) s_theta``.
+Descents are computed through the action on affine root pairs ``(alpha, m)``:
 
     x . (alpha, m) = (u(alpha), m - <lam, u(alpha)>)      for x = t^lam u,
 
 a convention validated by the translation length identity (the pairing of
 the coweight against the sum of the positive roots) rather than trusted.
+Length counts its inversions in closed form (Iwahori-Matsumoto).
 
 >>> rs = build_root_system("A", 1)
 >>> s0, s1 = generator(rs, 0), generator(rs, 1)
@@ -291,28 +291,26 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
 
 
 def length(x: AffineWeylElement) -> int:
-    """Coxeter length, as the number of affine-root inversions of x.
+    """Coxeter length by the Iwahori-Matsumoto formula, independent of |lam|.
 
-    Enumerates positive affine root pairs up to the level bound beyond
-    which no sign change can occur.
+    For x = t^lam w, each positive root beta contributes |<lam, w beta>|
+    when w beta is positive and |<lam, w beta> + 1| when it is negative,
+    that is |<lam, alpha> - 1| for alpha = -w beta.  The cost is
+    O(|positive roots| * rank^2) for every translation.
+
+    >>> rs = build_root_system("A", 1)
+    >>> length(translation_element(rs, (10**6,)))
+    2000000
     """
-    if x._length is not None:
-        return x._length
-    system = x.system
-    lam = x.translation
-    all_roots = [r for r in system.positive_roots]
-    all_roots += [tuple(-c for c in r) for r in system.positive_roots]
-    bound = max(abs(system.pairing(lam, r)) for r in all_roots) + 1 if all_roots else 1
-    count = 0
-    for root in all_roots:
-        positive_root = all(c >= 0 for c in root)
-        image, shift = _act_on_affine_root(x, root, 0)
-        m_min = 0 if positive_root else 1
-        for m in range(m_min, bound + 1):
-            if _affine_root_is_negative(image, m + shift):
-                count += 1
-    x._length = count
-    return count
+    if x._length is None:
+        lam_on_simple = _matvec(x.system.cartan, x.translation)
+        total = 0
+        for beta in x.system.positive_roots:
+            image = _matvec(x.finite.root_mat, beta)
+            pairing = sum(a * b for a, b in zip(image, lam_on_simple))
+            total += abs(pairing + 1) if any(c < 0 for c in image) else abs(pairing)
+        x._length = total
+    return x._length
 
 
 # -- reduced words -------------------------------------------------------

@@ -94,3 +94,112 @@ def test_bruhat_oracle_helper_matches_library():
     for u in ball:
         for w in ball:
             assert checks.bruhat_subword_oracle(u, w) == weyl.bruhat_leq(u, w)
+
+
+# -- the run-local class table ------------------------------------------------------
+
+_TRUE_RULE = kmodule.demazure_basis_target
+
+
+def _pin_identity(w, i):
+    # operator 1 fixes the identity class: breaks word independence
+    if i == 1 and w.is_identity():
+        return w
+    return _TRUE_RULE(w, i)
+
+
+def _ref_walk(w, letters):
+    for i in letters:
+        w = kmodule.demazure_basis_target(w, i)
+    return w
+
+
+def _word(x):
+    return list(weyl.reduced_word(x))
+
+
+def _ball(system, n):
+    return [x for shell in weyl.enumerate_ball(system, n) for x in shell]
+
+
+def _ref_braid(system, basis_bound):
+    records = []
+    for i in range(system.rank + 1):
+        for j in range(i + 1, system.rank + 1):
+            m = weyl.coxeter_order(system, i, j)
+            if m is None:
+                continue
+            word_ij = tuple(i if k % 2 == 0 else j for k in range(m))
+            word_ji = tuple(j if k % 2 == 0 else i for k in range(m))
+            for w in _ball(system, basis_bound):
+                lhs, rhs = _ref_walk(w, word_ij), _ref_walk(w, word_ji)
+                if lhs != rhs:
+                    records.append({"i": i, "j": j, "m": m, "basis": _word(w),
+                                    "lhs": _word(lhs), "rhs": _word(rhs)})
+    return records
+
+
+def _ref_words(system, word_bound, basis_bound):
+    records = []
+    for x in _ball(system, word_bound):
+        words = weyl.all_reduced_words(x, max_length=word_bound)
+        for w in _ball(system, basis_bound):
+            target = _ref_walk(w, words[0])
+            for other in words[1:]:
+                got = _ref_walk(w, other)
+                if got != target:
+                    records.append({"element": _word(x), "word": list(other),
+                                    "reference_word": list(words[0]), "basis": _word(w),
+                                    "lhs": _word(target), "rhs": _word(got)})
+    return records
+
+
+def _ref_compose(system, pair_bound, basis_bound):
+    records = []
+    basis = _ball(system, basis_bound)
+    for s in range(system.rank + 1):
+        for w in basis:
+            once = _ref_walk(w, (s,))
+            twice = _ref_walk(once, (s,))
+            if twice != once:
+                records.append({"generator": s, "basis": _word(w),
+                                "lhs": _word(twice), "rhs": _word(once)})
+    pool = _ball(system, pair_bound)
+    for u in pool:
+        for v in pool:
+            lu, lv = weyl.length(u), weyl.length(v)
+            if not 0 < lu + lv <= pair_bound or weyl.length(u * v) != lu + lv:
+                continue
+            wu, wv, wuv = _word(u), _word(v), _word(u * v)
+            for w in basis:
+                lhs, rhs = _ref_walk(_ref_walk(w, wu), wv), _ref_walk(w, wuv)
+                if lhs != rhs:
+                    records.append({"u": wu, "v": wv, "basis": _word(w),
+                                    "lhs": _word(lhs), "rhs": _word(rhs)})
+    return records
+
+
+@pytest.mark.parametrize(
+    "mutation,bites",
+    [
+        # (compose, words, braid) exhaustive layers that report failures
+        (_flip_descent_branch, (True, False, False)),
+        (_swap_branches, (False, False, False)),
+        (_pin_identity, (True, True, True)),
+    ],
+)
+def test_int_walk_matches_element_walk(monkeypatch, mutation, bites):
+    monkeypatch.setattr(kmodule, "demazure_basis_target", mutation)
+    compose = checks.check_compose(A2, 3, pair_bound=3, basis_bound=3, n_random=0)
+    words = checks.check_words(A2, 3, word_bound=3, basis_bound=4, n_random=0)
+    braid = checks.check_braid(A2, 3, basis_bound=3, n_random=0)
+    assert compose.failures == _ref_compose(A2, 3, 3)
+    assert words.failures == _ref_words(A2, 3, 4)
+    assert braid.failures == _ref_braid(A2, 3)
+    assert (bool(compose.failures), bool(words.failures), bool(braid.failures)) == bites
+
+
+def test_no_class_table_outlives_its_suite_call(monkeypatch):
+    assert checks.check_compose(A2, 3, pair_bound=3, basis_bound=3, n_random=0).passed
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _flip_descent_branch)
+    assert checks.check_compose(A2, 3, pair_bound=3, basis_bound=3, n_random=0).failures

@@ -317,3 +317,13 @@ def test_prime_beyond_primality_bound_rejected(capsys):
                        "len", "[0]")
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+def test_single_term_outputs_skip_the_sort_key(capsys):
+    # a one-term map is printed without the reduced word of its key
+    for argv in (("pullback", "e{-2000000,0}"), ("theta", "e{2000000,2000000}")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--type", "A", "--rank", "2", *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == EXIT_OK, err
+        assert len(json.loads(out)) == 1

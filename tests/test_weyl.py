@@ -7,6 +7,7 @@ import pytest
 
 from zerohecke.rootdata import build_root_system
 from zerohecke.weyl import (
+    AffineWeylElement,
     ResourceBoundError,
     all_reduced_words,
     antidominant_rep,
@@ -104,12 +105,19 @@ def test_translation_lengths():
     assert length(translation_element(A2, A2.highest_coroot)) == 4
 
 
-@pytest.mark.parametrize("system", (A1, A2, C2), ids=("A1", "A2", "C2"))
-def test_length_equals_bfs_depth(system):
-    # oracle: bfs shells from the identity only use multiplication/equality
-    for depth, shell in enumerate(enumerate_ball(system, 6)):
+@pytest.mark.parametrize(
+    "lie_type,rank,n",
+    [("A", 1, 6), ("A", 2, 8), ("C", 2, 8), ("G", 2, 8), ("A", 3, 6), ("B", 3, 5),
+     ("D", 4, 4)],
+    ids=("A1", "A2", "C2", "G2", "A3", "B3", "D4"),
+)
+def test_length_equals_bfs_depth(lie_type, rank, n):
+    # oracle: bfs shells from the identity only use multiplication/equality;
+    # fresh copies, so no cached length is read
+    system = build_root_system(lie_type, rank)
+    for depth, shell in enumerate(enumerate_ball(system, n)):
         for x in shell:
-            assert length(x) == depth
+            assert length(AffineWeylElement(system, x.translation, x.finite)) == depth, x
 
 
 def test_translation_length_formula_small():
