@@ -156,8 +156,8 @@ def check_braid(
                 continue
             word_ij = tuple(i if k % 2 == 0 else j for k in range(m))
             word_ji = tuple(j if k % 2 == 0 else i for k in range(m))
+            report.count(len(ids))
             for k in ids:
-                report.count()
                 lhs = table.walk(k, word_ij)
                 rhs = table.walk(k, word_ji)
                 if lhs != rhs:
@@ -201,10 +201,10 @@ def check_words(
         if len(words) < 2:
             continue
         ref = words[0]
+        report.count(len(ids) * (len(words) - 1))
         for k in ids:
             target = table.walk(k, ref)
             for other in words[1:]:
-                report.count()
                 got = table.walk(k, other)
                 if got != target:
                     report.fail(
@@ -243,8 +243,8 @@ def check_compose(
     ring = torus_ring(system, p)
 
     for s in range(system.rank + 1):
+        report.count(len(ids))
         for k in ids:
-            report.count()
             once = table.walk(k, (s,))
             twice = table.walk(once, (s,))
             if twice != once:
@@ -261,8 +261,8 @@ def check_compose(
                     pairs.append((u, v, uv))
     for u, v, uv in pairs:
         wu, wv, wuv = weyl.reduced_word(u), weyl.reduced_word(v), weyl.reduced_word(uv)
+        report.count(len(ids))
         for k in ids:
-            report.count()
             lhs = table.walk(table.walk(k, wu), wv)
             rhs = table.walk(k, wuv)
             if lhs != rhs:

@@ -12,6 +12,7 @@ guard against.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -303,6 +304,10 @@ class PrimeField:
     def __post_init__(self):
         _check_prime(self.p)
 
+    @property
+    def field(self) -> PrimeField:
+        return self
+
     def zero(self) -> FieldElement:
         return FieldElement(self.p, 0)
 
@@ -320,9 +325,11 @@ class PrimeField:
 class TorusRing:
     p: int
     nvars: int
+    # GF(p), built once per ring: coefficients specialize into it
+    field: PrimeField = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_prime(self.p)
+        object.__setattr__(self, "field", PrimeField(self.p))
         if self.nvars < 1:
             raise ValueError("torus ring needs at least one exponent")
 

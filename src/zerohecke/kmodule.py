@@ -193,7 +193,7 @@ def spherical_act(lam: Vector, v: SchubertVector) -> SchubertVector:
                 f"support key {w!r} is not of the spherical form "
                 "(longest finite element times a dominant translation)"
             )
-    h = basis_y(weyl.translation_element(system, lam), PrimeField(v.ring.p))
+    h = basis_y(weyl.translation_element(system, lam), v.ring.field)
     return hecke_act(v, h)
 
 
@@ -210,7 +210,7 @@ def specialize(v: SchubertVector) -> SchubertVector:
     if isinstance(v.ring, PrimeField):
         return v
     terms = {w: specialize_at_identity(c) for w, c in v.terms.items()}
-    return SchubertVector(v.system, PrimeField(v.ring.p), terms)
+    return SchubertVector(v.system, v.ring.field, terms)
 
 
 # -- serialization --------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Elements are kept in canonical (translation, finite part) form: the finite
 part is an integer matrix acting on coweights, the translation a coweight.
-Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Equality and
-multiplication are therefore O(rank^2) with no word rewriting.
+Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Finite parts are
+interned per root system and memoize their products, so after the first
+O(rank^3) product of two parts, multiplication costs one dict lookup plus
+O(rank^2) for u(mu), and O(rank) when mu is zero; equality is O(rank).
 
 The generator of index 0 is the affine reflection in the hyperplane of the
 highest root at level one, realized as ``t^(theta_coroot) s_theta``.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 from .rootdata import Matrix, RootSystem, Vector, build_root_system
 
@@ -75,13 +78,11 @@ def _identity_matrix(n: int) -> Matrix:
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _mat_inverse(a: Matrix) -> Matrix:
@@ -112,29 +113,59 @@ class FinitePart:
     The companion matrix on root coordinates is carried along so that the
     affine-root action stays in integer arithmetic; it is determined by the
     coweight matrix, so equality and hashing use the latter only.
+
+    The library interns parts per root system, so one element of W0 is one
+    object.  A part memoizes, on first use, its products with other parts
+    and the images of the simple affine roots and of the positive roots.
     """
 
-    __slots__ = ("mat", "root_mat", "_hash")
+    __slots__ = ("mat", "root_mat", "_hash", "_identity", "_products",
+                 "_simple_images", "_positive_images")
 
     def __init__(self, mat: Matrix, root_mat: Matrix):
         self.mat = mat
         self.root_mat = root_mat
-        self._hash = None
+        self._hash = hash(mat)
+        self._identity = mat == _identity_matrix(len(mat))
+        self._products: dict[FinitePart, FinitePart] = {}
+        self._simple_images = self._positive_images = None
 
     def __eq__(self, other):
-        return isinstance(other, FinitePart) and self.mat == other.mat
+        return self is other or (isinstance(other, FinitePart) and self.mat == other.mat)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.mat)
         return self._hash
 
     def __repr__(self):
         return f"FinitePart({self.mat})"
 
     def is_identity(self) -> bool:
-        n = len(self.mat)
-        return self.mat == _identity_matrix(n)
+        return self._identity
+
+
+# One table per root system, from coweight matrix to its part.  Keyed by
+# system: B3 and C3 share some coweight matrices, but the root images a part
+# memoizes depend on the system's highest root and positive roots.
+_FINITE_PARTS: dict[RootSystem, dict[Matrix, FinitePart]] = {}
+
+
+def _finite_parts(system: RootSystem) -> dict[Matrix, FinitePart]:
+    table = _FINITE_PARTS.get(system)
+    if table is None:
+        seeds = [(_identity_matrix(system.rank),) * 2,
+                 (system.theta_reflection_coweight, system.theta_reflection_root),
+                 *zip(system.simple_reflections_coweight, system.simple_reflections_root)]
+        table = _FINITE_PARTS[system] = {m: FinitePart(m, r) for m, r in seeds}
+    return table
+
+
+def _intern(system: RootSystem, mat: Matrix, root_mat_of) -> FinitePart:
+    """The part of system with coweight matrix mat; root_mat_of() builds a new one's."""
+    table = _finite_parts(system)
+    part = table.get(mat)
+    if part is None:
+        part = table[mat] = FinitePart(mat, root_mat_of())
+    return part
 
 
 class AffineWeylElement:
@@ -164,7 +195,7 @@ class AffineWeylElement:
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(
-                (self.system.lie_type, self.system.rank, self.translation, self.finite.mat)
+                (self.system.lie_type, self.system.rank, self.translation, self.finite._hash)
             )
         return self._hash
 
@@ -173,30 +204,32 @@ class AffineWeylElement:
         return f"<{word}|t{self.translation}>"
 
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.translation) and self.finite.is_identity()
+        return not any(self.translation) and self.finite.is_identity()
 
     def __mul__(self, other: AffineWeylElement) -> AffineWeylElement:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
-        if self.system != other.system:
+        system, u, v = self.system, self.finite, other.finite
+        if system is not other.system and system != other.system:
             raise ValueError(
-                f"cannot multiply elements over {self.system!r} and {other.system!r}"
+                f"cannot multiply elements over {system!r} and {other.system!r}"
             )
-        trans = tuple(
-            a + b
-            for a, b in zip(self.translation, _matvec(self.finite.mat, other.translation))
-        )
-        finite = FinitePart(
-            _matmul(self.finite.mat, other.finite.mat),
-            _matmul(self.finite.root_mat, other.finite.root_mat),
-        )
-        return AffineWeylElement(self.system, trans, finite)
+        trans = self.translation
+        if any(other.translation):
+            trans = tuple(a + b for a, b in zip(trans, _matvec(u.mat, other.translation)))
+        uv = u._products.get(v)
+        if uv is None:
+            uv = u._products[v] = _intern(
+                system, _matmul(u.mat, v.mat), lambda: _matmul(u.root_mat, v.root_mat)
+            )
+        return AffineWeylElement(system, trans, uv)
 
     def inverse(self) -> AffineWeylElement:
-        mat_inv = _mat_inverse(self.finite.mat)
-        root_inv = _mat_inverse(self.finite.root_mat)
+        u = self.finite
+        mat_inv = _mat_inverse(u.mat)
         trans = tuple(-c for c in _matvec(mat_inv, self.translation))
-        return AffineWeylElement(self.system, trans, FinitePart(mat_inv, root_inv))
+        finite = _intern(self.system, mat_inv, lambda: _mat_inverse(u.root_mat))
+        return AffineWeylElement(self.system, trans, finite)
 
 
 # -- constructors --------------------------------------------------------
@@ -205,8 +238,7 @@ class AffineWeylElement:
 @functools.lru_cache(maxsize=None)
 def identity_element(system: RootSystem) -> AffineWeylElement:
     n = system.rank
-    ident = _identity_matrix(n)
-    return AffineWeylElement(system, (0,) * n, FinitePart(ident, ident))
+    return AffineWeylElement(system, (0,) * n, _finite_parts(system)[_identity_matrix(n)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,17 +251,20 @@ def generator(system: RootSystem, i: int) -> AffineWeylElement:
     >>> rs = build_root_system("A", 1)
     >>> generator(rs, 0).translation
     (1,)
+    >>> s1 = generator(rs, 1)
+    >>> (s1 * s1 * s1).finite is s1.finite
+    True
     """
     if not 0 <= i <= system.rank:
         raise ValueError(f"generator index {i} out of range 0..{system.rank}")
+    parts = _finite_parts(system)
     if i == 0:
-        finite = FinitePart(system.theta_reflection_coweight, system.theta_reflection_root)
-        return AffineWeylElement(system, system.highest_coroot, finite)
-    finite = FinitePart(
-        system.simple_reflections_coweight[i - 1],
-        system.simple_reflections_root[i - 1],
+        return AffineWeylElement(
+            system, system.highest_coroot, parts[system.theta_reflection_coweight]
+        )
+    return AffineWeylElement(
+        system, (0,) * system.rank, parts[system.simple_reflections_coweight[i - 1]]
     )
-    return AffineWeylElement(system, (0,) * system.rank, finite)
 
 
 def generators(system: RootSystem) -> tuple[AffineWeylElement, ...]:
@@ -259,23 +294,14 @@ def _mul_gen(x: AffineWeylElement, i: int) -> AffineWeylElement:
 # -- affine root action, length, descents --------------------------------
 
 
-def _simple_affine_root(system: RootSystem, i: int) -> tuple[Vector, int]:
-    if i == 0:
-        return tuple(-c for c in system.highest_root), 1
-    return tuple(int(i - 1 == j) for j in range(system.rank)), 0
-
-
-def _affine_root_is_negative(root: Vector, level: int) -> bool:
-    if level != 0:
-        return level < 0
-    return any(c < 0 for c in root)  # roots have coords of one sign
-
-
-def _act_on_affine_root(
-    x: AffineWeylElement, root: Vector, level: int
-) -> tuple[Vector, int]:
-    image = _matvec(x.finite.root_mat, root)
-    return image, level - x.system.pairing(x.translation, image)
+def _act_on_affine_root(x: AffineWeylElement, i: int) -> tuple[Vector, int]:
+    """x on the i-th simple affine root: (alpha_i, 0), or (-theta, 1) for i = 0."""
+    part = x.finite
+    if part._simple_images is None:  # u(alpha_i) is column i of u's root matrix
+        minus_theta = tuple(-c for c in x.system.highest_root)
+        part._simple_images = [_matvec(part.root_mat, minus_theta), *zip(*part.root_mat)]
+    image = part._simple_images[i]
+    return image, int(i == 0) - x.system.pairing(x.translation, image)
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,8 +312,8 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     >>> is_right_descent(generator(rs, 0), 0)
     True
     """
-    root, level = _simple_affine_root(x.system, i)
-    return _affine_root_is_negative(*_act_on_affine_root(x, root, level))
+    image, level = _act_on_affine_root(x, i)
+    return level < 0 if level else any(c < 0 for c in image)  # roots have coords of one sign
 
 
 def length(x: AffineWeylElement) -> int:
@@ -295,20 +321,24 @@ def length(x: AffineWeylElement) -> int:
 
     For x = t^lam w, each positive root beta contributes |<lam, w beta>|
     when w beta is positive and |<lam, w beta> + 1| when it is negative,
-    that is |<lam, alpha> - 1| for alpha = -w beta.  The cost is
-    O(|positive roots| * rank^2) for every translation.
+    that is |<lam, alpha> - 1| for alpha = -w beta.  The finite part keeps
+    the images w beta, so the cost is O(|positive roots| * rank) for every
+    translation after its first use.
 
     >>> rs = build_root_system("A", 1)
     >>> length(translation_element(rs, (10**6,)))
     2000000
     """
     if x._length is None:
+        part = x.finite
+        if part._positive_images is None:
+            images = (_matvec(part.root_mat, beta) for beta in x.system.positive_roots)
+            part._positive_images = [(image, any(c < 0 for c in image)) for image in images]
         lam_on_simple = _matvec(x.system.cartan, x.translation)
         total = 0
-        for beta in x.system.positive_roots:
-            image = _matvec(x.finite.root_mat, beta)
-            pairing = sum(a * b for a, b in zip(image, lam_on_simple))
-            total += abs(pairing + 1) if any(c < 0 for c in image) else abs(pairing)
+        for image, negative in part._positive_images:
+            pairing = sum(map(mul, image, lam_on_simple))
+            total += abs(pairing + 1) if negative else abs(pairing)
         x._length = total
     return x._length
 

@@ -39,6 +39,31 @@ def test_report_jsonable_shape():
     assert data["check_name"] == "length-formula"
 
 
+_RELATIONS_SCALE = {
+    "check_compose": {"pair_bound": 5, "basis_bound": 6},
+    "check_words": {"word_bound": 5, "basis_bound": 7},
+    "check_braid": {},
+}
+
+
+@pytest.mark.parametrize(
+    "suite,lie_type,count",
+    [
+        ("check_compose", "A", 16724),
+        ("check_compose", "C", 12845),
+        ("check_words", "A", 2160),
+        ("check_words", "C", 2025),
+        ("check_braid", "A", 252),
+        ("check_braid", "C", 231),
+    ],
+)
+def test_instance_counts_at_relations_scale(suite, lie_type, count):
+    system = build_root_system(lie_type, 2)
+    report = getattr(checks, suite)(system, 3, **_RELATIONS_SCALE[suite])
+    assert report.passed, report.failures[:3]
+    assert report.instance_count == count
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown check suite"):
         checks.run_suite("nope", A2, 3, 3)

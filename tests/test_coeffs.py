@@ -57,6 +57,14 @@ def test_prime_field_descriptor_rejects_composites():
         TorusRing(9, 2)
 
 
+def test_torus_ring_carries_its_field_outside_equality():
+    ring = TorusRing(3, 2)
+    assert ring.field == PrimeField(3)
+    assert ring.field.field is ring.field
+    assert ring == TorusRing(3, 2) and hash(ring) == hash(TorusRing(3, 2))
+    assert repr(ring) == "TorusRing(p=3, nvars=2)"
+
+
 # -- torus group ring --------------------------------------------------------------
 
 

@@ -303,6 +303,14 @@ def test_spherical_shift_example():
     assert weyl.length(expected_key) == 3
 
 
+def test_spherical_shift_and_specialize_land_in_the_prime_field():
+    w0 = weyl.longest_finite_element(A1)
+    f3 = PrimeField(3)
+    out = spherical_act((1,), basis_class(w0, f3))
+    assert out == basis_class(w0 * weyl.translation_element(A1, (1,)), f3)
+    assert specialize(basis_class(w0, T3_A1)).ring is T3_A1.field
+
+
 def test_spherical_basis_rule_matches_hecke_route():
     # independent route: the action must shift the dominant label additively
     w0 = weyl.longest_finite_element(A2)

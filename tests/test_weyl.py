@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from zerohecke import weyl
 from zerohecke.rootdata import build_root_system
 from zerohecke.weyl import (
     AffineWeylElement,
+    FinitePart,
     ResourceBoundError,
     all_reduced_words,
     antidominant_rep,
@@ -88,6 +90,67 @@ def test_associativity_spot_checks():
             for _ in range(3)
         )
         assert (x * y) * z == x * (y * z)
+
+
+# -- interned finite parts ------------------------------------------------------
+
+
+def _generator_matrices(system, i):
+    if i == 0:
+        return system.theta_reflection_coweight, system.theta_reflection_root
+    return system.simple_reflections_coweight[i - 1], system.simple_reflections_root[i - 1]
+
+
+@pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8)])
+def test_interned_parts_match_matrix_products(lie_type, rank, n):
+    # oracle: plain products of the generator matrices along the reduced word;
+    # B3 and C3 share coweight matrices, so a shared table would break one
+    system = build_root_system(lie_type, rank)
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    for depth, shell in enumerate(enumerate_ball(system, n)):
+        for x in shell:
+            mat = root_mat = ident
+            for i in reduced_word(x):
+                g_mat, g_root = _generator_matrices(system, i)
+                mat, root_mat = weyl._matmul(mat, g_mat), weyl._matmul(root_mat, g_root)
+            assert (x.finite.mat, x.finite.root_mat) == (mat, root_mat), x
+            assert length(AffineWeylElement(system, x.translation, x.finite)) == depth, x
+
+
+def test_b3_and_c3_share_no_parts():
+    b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
+    parts = [{x.finite.mat: x.finite for x in flat_ball(system, 5)} for system in (b3, c3)]
+    shared = parts[0].keys() & parts[1].keys()
+    assert shared  # the identity and w0 at least
+    assert all(parts[0][m] is not parts[1][m] for m in shared)
+
+
+def test_equal_elements_share_one_finite_part():
+    for system in (A2, C2, build_root_system("G", 2)):
+        seen = {}
+        for x in flat_ball(system, 5):
+            inv = x.inverse()
+            for y in (x, inv, inv.inverse(), x * inv,
+                      element_from_jsonable(system, element_to_jsonable(x))):
+                assert seen.setdefault(y.finite.mat, y.finite) is y.finite, y
+        assert seen[identity_element(system).finite.mat] is identity_element(system).finite
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,n,order", [("A", 2, 10, 6), ("G", 2, 12, 12), ("B", 3, 9, 48)]
+)
+def test_intern_table_is_the_finite_weyl_group(lie_type, rank, n, order):
+    system = build_root_system(lie_type, rank)
+    enumerate_ball(system, n)
+    assert len(weyl._FINITE_PARTS[system]) == order
+
+
+def test_is_identity_of_parts_built_outside_the_table():
+    ident = ((1, 0), (0, 1))
+    assert FinitePart(ident, ident).is_identity()
+    s1 = generator(A2, 1).finite
+    assert not FinitePart(s1.mat, s1.root_mat).is_identity()
+    assert FinitePart(s1.mat, s1.root_mat) == s1
 
 
 # -- length ---------------------------------------------------------------------
