@@ -95,6 +95,8 @@ def _config_system(args) -> RootSystem:
         raise UsageError(f"--prime {args.prime} is not prime")
     if args.max_length < 0:
         raise UsageError(f"--max-length must be >= 0, got {args.max_length}")
+    if args.max_elements < 1:
+        raise UsageError(f"--max-elements must be >= 1, got {args.max_elements}")
     if args.output_format == "dot" and args.command != "graph":
         raise UsageError("--format dot applies to the graph command only")
     return build_root_system(args.lie_type, args.rank)
@@ -116,16 +118,20 @@ def _cache_dir(args) -> Path:
     return Path.home() / ".cache" / "zerohecke"
 
 
+def _digest(body: dict) -> str:
+    """sha256 of the canonical JSON of a cache body."""
+    return hashlib.sha256(
+        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
 def _ball_payload(system: RootSystem, n: int, shells) -> dict:
     elements = [
         [weyl.element_to_jsonable(x) for x in shell] for shell in shells
     ]
     body = {"type": system.lie_type, "rank": system.rank,
             "maxlen": n, "version": CACHE_VERSION, "elements": elements}
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    return {**body, "hash": digest}
+    return {**body, "hash": _digest(body)}
 
 
 def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_elements: int):
@@ -134,11 +140,8 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
         try:
             data = json.loads(path.read_text())
             stored_hash = data.pop("hash", None)
-            recomputed = hashlib.sha256(
-                json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-            ).hexdigest()
             if (
-                stored_hash == recomputed
+                stored_hash == _digest(data)
                 and data.get("version") == CACHE_VERSION
                 and data.get("type") == system.lie_type
                 and data.get("rank") == system.rank

@@ -67,26 +67,36 @@ def demazure_basis_target(w: AffineWeylElement, i: int) -> AffineWeylElement:
 
 def demazure_apply(v: SchubertVector, i: int) -> SchubertVector:
     """Apply one Demazure operator on the right: ``v . D_i``."""
-    if not 0 <= i <= v.system.rank:
-        raise ValueError(f"operator index {i} out of range 0..{v.system.rank}")
-    out = v._like({})
-    for w, c in v.terms.items():
-        out.add_term(demazure_basis_target(w, i), c)
-    return out
+    return demazure_letters_apply(v, (i,))
 
 
 def demazure_word_apply(v: SchubertVector, w: AffineWeylElement) -> SchubertVector:
     """Apply the composite operator of w along its canonical reduced word."""
-    for i in weyl.reduced_word(w):
-        v = demazure_apply(v, i)
-    return v
+    return demazure_letters_apply(v, weyl.reduced_word(w))
 
 
 def demazure_letters_apply(v: SchubertVector, letters) -> SchubertVector:
-    """Apply operators for an explicit letter sequence, left to right."""
+    """Apply operators for an explicit letter sequence, left to right.
+
+    Each class goes through all letters by :func:`demazure_basis_target`
+    and is added once; by linearity, classes that collide on the way meet
+    again at the end, where their coefficients add and may cancel mod p.
+
+    >>> rs, f3 = weyl.build_root_system("A", 1), PrimeField(3)
+    >>> v = basis_class(weyl.identity_element(rs), f3) + basis_class(weyl.generator(rs, 0), f3)
+    >>> demazure_letters_apply(v, [0, 1])
+    (FieldElement(3, 2))*[S(0, 1)]
+    """
+    letters = tuple(letters)
     for i in letters:
-        v = demazure_apply(v, i)
-    return v
+        if not 0 <= i <= v.system.rank:
+            raise ValueError(f"operator index {i} out of range 0..{v.system.rank}")
+    out = v._like({})
+    for w, c in v.terms.items():
+        for i in letters:
+            w = demazure_basis_target(w, i)
+        out.add_term(w, c)
+    return out
 
 
 # -- the right Hecke action -------------------------------------------------

@@ -3,9 +3,10 @@
 Elements are kept in canonical (translation, finite part) form: the finite
 part is an integer matrix acting on coweights, the translation a coweight.
 Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Finite parts are
-interned per root system and memoize their products, so after the first
-O(rank^3) product of two parts, multiplication costs one dict lookup plus
-O(rank^2) for u(mu), and O(rank) when mu is zero; equality is O(rank).
+interned per root system and memoize their products and one step record
+per generator, so after the first O(rank^3) product of two parts,
+multiplication costs one dict lookup plus O(rank^2) for u(mu), and O(rank)
+when mu is zero; the inverse of u is its last power before the identity.
 
 The generator of index 0 is the affine reflection in the hyperplane of the
 highest root at level one, realized as ``t^(theta_coroot) s_theta``.
@@ -14,8 +15,9 @@ Descents are computed through the action on affine root pairs ``(alpha, m)``:
     x . (alpha, m) = (u(alpha), m - <lam, u(alpha)>)      for x = t^lam u,
 
 a convention validated by the translation length identity (the pairing of
-the coweight against the sum of the positive roots) rather than trusted.
-Length counts its inversions in closed form (Iwahori-Matsumoto).
+the coweight against the sum of the positive roots) rather than trusted;
+with the step record it is one O(rank) dot product.  Length counts its
+inversions in closed form (Iwahori-Matsumoto).
 
 >>> rs = build_root_system("A", 1)
 >>> s0, s1 = generator(rs, 0), generator(rs, 1)
@@ -30,8 +32,8 @@ Length counts its inversions in closed form (Iwahori-Matsumoto).
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from operator import mul
+from dataclasses import dataclass
+from operator import add, mul
 
 from .rootdata import Matrix, RootSystem, Vector, build_root_system
 
@@ -85,25 +87,6 @@ def _matvec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def _mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = tuple(tuple(x for x in row[n:]) for row in aug)
-    assert all(x.denominator == 1 for row in out for x in row)
-    return tuple(tuple(int(x) for x in row) for row in out)
-
-
 # -- elements ------------------------------------------------------------
 
 
@@ -115,12 +98,15 @@ class FinitePart:
     coweight matrix, so equality and hashing use the latter only.
 
     The library interns parts per root system, so one element of W0 is one
-    object.  A part memoizes, on first use, its products with other parts
-    and the images of the simple affine roots and of the positive roots.
+    object.  A part memoizes, on first use, its products with other parts,
+    the signed duals of the positive roots' images (see
+    :func:`_signed_duals`) and one :class:`_Step` per generator.
+    Its inverse is the last power of u before the identity, walked through
+    the product memo.
     """
 
     __slots__ = ("mat", "root_mat", "_hash", "_identity", "_products",
-                 "_simple_images", "_positive_images")
+                 "_steps", "_positive_duals")
 
     def __init__(self, mat: Matrix, root_mat: Matrix):
         self.mat = mat
@@ -128,7 +114,7 @@ class FinitePart:
         self._hash = hash(mat)
         self._identity = mat == _identity_matrix(len(mat))
         self._products: dict[FinitePart, FinitePart] = {}
-        self._simple_images = self._positive_images = None
+        self._steps = self._positive_duals = None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FinitePart) and self.mat == other.mat)
@@ -159,13 +145,16 @@ def _finite_parts(system: RootSystem) -> dict[Matrix, FinitePart]:
     return table
 
 
-def _intern(system: RootSystem, mat: Matrix, root_mat_of) -> FinitePart:
-    """The part of system with coweight matrix mat; root_mat_of() builds a new one's."""
-    table = _finite_parts(system)
-    part = table.get(mat)
-    if part is None:
-        part = table[mat] = FinitePart(mat, root_mat_of())
-    return part
+def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
+    """The part uv: u's product memo, else the table, else a new part."""
+    uv = u._products.get(v)
+    if uv is None:
+        table, mat = _finite_parts(system), _matmul(u.mat, v.mat)
+        uv = table.get(mat)
+        if uv is None:
+            uv = table[mat] = FinitePart(mat, _matmul(u.root_mat, v.root_mat))
+        u._products[v] = uv
+    return uv
 
 
 class AffineWeylElement:
@@ -216,20 +205,45 @@ class AffineWeylElement:
             )
         trans = self.translation
         if any(other.translation):
-            trans = tuple(a + b for a, b in zip(trans, _matvec(u.mat, other.translation)))
-        uv = u._products.get(v)
-        if uv is None:
-            uv = u._products[v] = _intern(
-                system, _matmul(u.mat, v.mat), lambda: _matmul(u.root_mat, v.root_mat)
-            )
-        return AffineWeylElement(system, trans, uv)
+            trans = tuple(map(add, trans, _matvec(u.mat, other.translation)))
+        return AffineWeylElement(system, trans, _product(system, u, v))
 
     def inverse(self) -> AffineWeylElement:
-        u = self.finite
-        mat_inv = _mat_inverse(u.mat)
-        trans = tuple(-c for c in _matvec(mat_inv, self.translation))
-        finite = _intern(self.system, mat_inv, lambda: _mat_inverse(u.root_mat))
-        return AffineWeylElement(self.system, trans, finite)
+        inv = u = self.finite
+        while not (power := _product(self.system, inv, u)).is_identity():
+            inv = power
+        trans = tuple(-c for c in _matvec(inv.mat, self.translation))
+        return AffineWeylElement(self.system, trans, inv)
+
+
+@dataclass(slots=True)
+class _Step:
+    """Generator i as seen by a part u: the signed dual of u(alpha_i), with
+    alpha_0 := -theta; the shift u(theta_coroot), for i = 0 only; and the
+    part u s_i, set on first use.
+    """
+
+    dual: Vector
+    negative: bool
+    shift: Vector | None
+    product: FinitePart | None = None
+
+
+def _signed_duals(system: RootSystem, part: FinitePart, roots) -> list[tuple[Vector, bool]]:
+    """(cartan^T u(beta), u(beta) < 0) for each beta in roots; <lam, u(beta)> = lam . dual."""
+    cartan_t = tuple(zip(*system.cartan))
+    images = (_matvec(part.root_mat, beta) for beta in roots)
+    return [(_matvec(cartan_t, image), any(c < 0 for c in image)) for image in images]
+
+
+def _build_steps(x: AffineWeylElement) -> list[_Step]:
+    """Give x's part one step record per generator."""
+    system, part = x.system, x.finite
+    simple = [tuple(-c for c in system.highest_root), *_identity_matrix(system.rank)]
+    shifts = [_matvec(part.mat, system.highest_coroot), *[None] * system.rank]
+    duals = _signed_duals(system, part, simple)
+    part._steps = [_Step(dual, negative, shift) for (dual, negative), shift in zip(duals, shifts)]
+    return part._steps
 
 
 # -- constructors --------------------------------------------------------
@@ -286,25 +300,20 @@ def from_word(system: RootSystem, letters) -> AffineWeylElement:
     return x
 
 
-@functools.lru_cache(maxsize=None)
 def _mul_gen(x: AffineWeylElement, i: int) -> AffineWeylElement:
-    return x * generator(x.system, i)
+    """x times generator i, read off the step record of x's part."""
+    if not 0 <= i <= x.system.rank:
+        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
+    step = (x.finite._steps or _build_steps(x))[i]
+    if step.product is None:
+        step.product = _product(x.system, x.finite, generator(x.system, i).finite)
+    trans = x.translation if step.shift is None else tuple(map(add, x.translation, step.shift))
+    return AffineWeylElement(x.system, trans, step.product)
 
 
-# -- affine root action, length, descents --------------------------------
+# -- length, descents ------------------------------------------------------
 
 
-def _act_on_affine_root(x: AffineWeylElement, i: int) -> tuple[Vector, int]:
-    """x on the i-th simple affine root: (alpha_i, 0), or (-theta, 1) for i = 0."""
-    part = x.finite
-    if part._simple_images is None:  # u(alpha_i) is column i of u's root matrix
-        minus_theta = tuple(-c for c in x.system.highest_root)
-        part._simple_images = [_matvec(part.root_mat, minus_theta), *zip(*part.root_mat)]
-    image = part._simple_images[i]
-    return image, int(i == 0) - x.system.pairing(x.translation, image)
-
-
-@functools.lru_cache(maxsize=None)
 def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     """True iff right-multiplying by generator i shortens x.
 
@@ -312,8 +321,9 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     >>> is_right_descent(generator(rs, 0), 0)
     True
     """
-    image, level = _act_on_affine_root(x, i)
-    return level < 0 if level else any(c < 0 for c in image)  # roots have coords of one sign
+    step = (x.finite._steps or _build_steps(x))[i]
+    level = (i == 0) - sum(map(mul, x.translation, step.dual))
+    return level < 0 if level else step.negative  # roots have coords of one sign
 
 
 def length(x: AffineWeylElement) -> int:
@@ -322,8 +332,8 @@ def length(x: AffineWeylElement) -> int:
     For x = t^lam w, each positive root beta contributes |<lam, w beta>|
     when w beta is positive and |<lam, w beta> + 1| when it is negative,
     that is |<lam, alpha> - 1| for alpha = -w beta.  The finite part keeps
-    the images w beta, so the cost is O(|positive roots| * rank) for every
-    translation after its first use.
+    the signed duals of the images w beta, so the cost is
+    O(|positive roots| * rank) for every translation after its first use.
 
     >>> rs = build_root_system("A", 1)
     >>> length(translation_element(rs, (10**6,)))
@@ -331,13 +341,11 @@ def length(x: AffineWeylElement) -> int:
     """
     if x._length is None:
         part = x.finite
-        if part._positive_images is None:
-            images = (_matvec(part.root_mat, beta) for beta in x.system.positive_roots)
-            part._positive_images = [(image, any(c < 0 for c in image)) for image in images]
-        lam_on_simple = _matvec(x.system.cartan, x.translation)
+        if part._positive_duals is None:
+            part._positive_duals = _signed_duals(x.system, part, x.system.positive_roots)
         total = 0
-        for image, negative in part._positive_images:
-            pairing = sum(map(mul, image, lam_on_simple))
+        for dual, negative in part._positive_duals:
+            pairing = sum(map(mul, x.translation, dual))
             total += abs(pairing + 1) if negative else abs(pairing)
         x._length = total
     return x._length

@@ -305,6 +305,21 @@ def test_warm_cache_respects_max_elements(tmp_path, capsys):
     assert out == "" and err.startswith("error:")
 
 
+def test_max_elements_below_one_is_a_usage_error(tmp_path, capsys):
+    # the same command exits 2 with a cold cache and with a warm one
+    argv = ("enumerate", "--max-length", "0", "--cache", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--max-elements", "0")
+    assert code == EXIT_USAGE and out == "" and "--max-elements" in err
+    assert run(capsys, *argv)[0] == EXIT_OK  # warms the cache
+    code, out, err = run(capsys, *argv, "--max-elements", "0")
+    assert code == EXIT_USAGE and out == "" and "--max-elements" in err
+    for command in ("enumerate", "graph"):
+        code, out, err = run(capsys, command, "--max-length", "2", "--cache", str(tmp_path),
+                             "--max-elements", "-1")
+        assert code == EXIT_USAGE and out == "", (command, err)
+        assert err.startswith("error:") and "--max-elements" in err
+
+
 def test_large_prime_is_fast(capsys):
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "compute", "--prime", "1000000000000000003", "len", "[0]")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zerohecke import weyl
+from zerohecke import kmodule, weyl
 from zerohecke.coeffs import PrimeField, torus_ring
 from zerohecke.hecke import HeckeElement, basis_y, hecke_unit, multiply_hecke
 from zerohecke.kmodule import (
@@ -106,6 +106,56 @@ def test_operators_compose_left_to_right():
     assert via_steps == demazure_word_apply(v, u * w)
     assert via_steps == basis_class(u * w, T3_A2)
     assert via_steps != basis_class(w * u, T3_A2)
+
+
+def _letter_by_letter(v, letters):
+    # reference: one intermediate vector per letter, pruned as it goes
+    for i in letters:
+        terms = {}
+        for w, c in v.terms.items():
+            target = kmodule.demazure_basis_target(w, i)
+            terms[target] = terms[target] + c if target in terms else c
+        v = SchubertVector(v.system, v.ring, terms)
+    return v
+
+
+def test_one_walk_matches_letter_by_letter_through_cancellation():
+    ring = torus_ring(A2, 3)
+    x = weyl.from_word(A2, [1, 2])
+    c = ring.monomial((1, 0, -1), 2)
+    # x and x s_0 collide on x s_0 at the first letter and cancel mod 3 there
+    v = SchubertVector(A2, ring, {x: c, weyl._mul_gen(x, 0): -c,
+                                  weyl.generator(A2, 2): ring.one()})
+    letters = [0, 1, 2, 0, 1]
+    assert len(_letter_by_letter(v, letters[:1]).terms) == 1
+    assert demazure_letters_apply(v, letters) == _letter_by_letter(v, letters)
+    rng = random.Random(5)
+    ball = flat_ball(A2, 4)
+    for _ in range(50):
+        terms = {rng.choice(ball): ring.monomial((0, 0, 0), rng.randrange(1, 3))
+                 for _ in range(rng.randrange(1, 6))}
+        v = SchubertVector(A2, ring, terms)
+        letters = [rng.randrange(3) for _ in range(rng.randrange(6))]
+        assert demazure_letters_apply(v, letters) == _letter_by_letter(v, letters)
+
+
+def test_out_of_range_letter_anywhere_is_rejected():
+    v = basis_class(weyl.identity_element(A2), T3_A2)
+    for letters in ([3], [1, 2, 7], [0, -1, 1], [1, 1, 1, 3]):
+        bad = next(i for i in letters if not 0 <= i <= 2)
+        for vec in (v, module_zero(A2, T3_A2)):
+            with pytest.raises(ValueError, match=f"operator index {bad} out of range 0..2"):
+                demazure_letters_apply(vec, letters)
+
+
+def test_word_apply_and_action_read_the_live_rule(monkeypatch):
+    s0 = weyl.generator(A2, 0)
+    v = basis_class(s0, T3_A2)
+    assert demazure_word_apply(v, s0) == v  # s0 is a descent: fixed
+    monkeypatch.setattr(kmodule, "demazure_basis_target", lambda w, i: weyl._mul_gen(w, i))
+    moved = basis_class(weyl.identity_element(A2), T3_A2)  # s0 s0 = e
+    assert demazure_word_apply(v, s0) == moved
+    assert hecke_act(v, basis_y(s0, PrimeField(3))) == moved
 
 
 @pytest.mark.parametrize(

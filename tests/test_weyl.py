@@ -69,12 +69,36 @@ def test_generator_index_range():
 
 def test_random_inverses():
     rng = random.Random(7)
-    for system in (A2, C2):
+    systems = [build_root_system(t, r) for t, r in (("G", 2), ("B", 3), ("F", 4), ("E", 8))]
+    for system in (A2, C2, *systems):
         for _ in range(20):
             word = [rng.randrange(system.rank + 1) for _ in range(rng.randrange(8))]
             x = from_word(system, word)
             assert (x * x.inverse()).is_identity()
             assert (x.inverse() * x).is_identity()
+
+
+def _assert_inverse(x):
+    inv = x.inverse()
+    assert (x * inv).is_identity() and (inv * x).is_identity(), x
+    assert inv.inverse() == x, x
+    assert weyl._FINITE_PARTS[x.system][inv.finite.mat] is inv.finite, x
+
+
+def test_inverse_by_powers_on_every_part_and_long_elements():
+    b3 = build_root_system("B", 3)
+    ball = flat_ball(b3, 9)
+    assert len({x.finite for x in ball}) == 48  # every element of W0
+    for x in ball:
+        _assert_inverse(x)
+    rng = random.Random(11)
+    for system in (b3, C2, build_root_system("G", 2)):
+        for _ in range(5):
+            lam = tuple(rng.choice((-1, 1)) * rng.randrange(100, 200) for _ in range(system.rank))
+            x = translation_element(system, lam) * from_word(
+                system, [rng.randrange(system.rank + 1) for _ in range(12)])
+            assert length(x) >= 200, x
+            _assert_inverse(x)
 
 
 def test_mixed_systems_rejected():
@@ -203,12 +227,21 @@ def test_descent_examples():
 
 
 def test_descents_track_length_change():
-    for system in (A2, C2):
-        for x in flat_ball(system, 4):
+    # non-simply-laced types catch a transposed Cartan matrix in the step
+    # records; x * s_i by the generic product checks the record's product
+    # and the i = 0 shift; bfs depth is the length oracle
+    for lie_type, rank, n in (("A", 2, 4), ("C", 2, 4), ("G", 2, 6), ("B", 3, 4),
+                              ("C", 3, 4), ("D", 4, 3), ("F", 4, 3), ("E", 6, 2)):
+        system = build_root_system(lie_type, rank)
+        shells = enumerate_ball(system, n + 1)
+        depth = {x: k for k, shell in enumerate(shells) for x in shell}
+        for x in flat_ball(system, n):
             for i in range(system.rank + 1):
-                delta = length(x * generator(system, i)) - length(x)
-                assert delta in (-1, 1)
-                assert is_right_descent(x, i) == (delta == -1)
+                step = x * generator(system, i)
+                assert weyl._mul_gen(x, i) == step, (x, i)
+                delta = depth[step] - depth[x]
+                assert delta in (-1, 1) and length(step) - length(x) == delta
+                assert is_right_descent(x, i) == (delta == -1), (x, i)
 
 
 # -- reduced words -----------------------------------------------------------------
