@@ -492,11 +492,16 @@ SUITES = (
 
 
 def run_suite(
-    name: str, system: RootSystem, p: int, max_length: int, seed: int = 0
+    name: str, system: RootSystem, p: int, max_length: int, seed: int = 0,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
-    """Run one named suite at a scale driven by the configured truncation."""
+    """Run one named suite at a scale driven by the configured truncation,
+    after enumerating the largest ball it reads under ``max_elements``."""
     rng = random.Random(seed)
     n = max_length
+    ball = {"braid": n, "words": n + 2, "compose": n, "xi": min(n, 4),
+            "specialize": max(min(n, 4), 3), "bruhat-oracle": min(n, 5)}
+    weyl.enumerate_ball(system, ball.get(name, 0), max_elements)
     if name == "braid":
         return check_braid(system, p, basis_bound=n, rng=rng)
     if name == "words":

@@ -320,7 +320,7 @@ def cmd_check(args) -> int:
     system = _config_system(args)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     reports = [
-        checks.run_suite(name, system, args.prime, args.max_length, seed=args.seed)
+        checks.run_suite(name, system, args.prime, args.max_length, args.seed, args.max_elements)
         for name in names
     ]
     payload = [r.to_jsonable() for r in reports]

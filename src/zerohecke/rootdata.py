@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -96,27 +96,6 @@ def _pairing_matrix(lie_type: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizers(a: list[list[int]]) -> tuple[int, ...]:
-    """Half square lengths d_i with d_i * a[i][j] = d_j * a[j][i], min = 1."""
-    from fractions import Fraction
-
-    rank = len(a)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(rank):
-            if i != j and a[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(a[i][j], a[j][i])
-                queue.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram not connected"
-    lo = min(d)
-    out = tuple(x / lo for x in d)
-    assert all(x.denominator == 1 for x in out)
-    return tuple(int(x) for x in out)
-
-
 class RootSystem:
     """Cartan data of one irreducible type, immutable after construction.
 
@@ -137,7 +116,6 @@ class RootSystem:
         self._a = tuple(tuple(row) for row in a)
         # spec convention: cartan[i][j] = <coroot_j, root_i>
         self.cartan: Matrix = tuple(tuple(a[j][i] for j in range(rank)) for i in range(rank))
-        self.symmetrizers = _symmetrizers(a)
 
         self.positive_roots: tuple[Vector, ...] = self._generate_positive_roots()
         expected = _POSITIVE_ROOT_COUNTS[lie_type](rank)
@@ -156,16 +134,29 @@ class RootSystem:
         self.simple_reflections_coweight = tuple(
             self._simple_reflection_coweight(i) for i in range(rank)
         )
-        self.simple_reflections_root = tuple(
-            self._simple_reflection_root(i) for i in range(rank)
-        )
         self.theta_reflection_coweight = self._reflection_coweight(
             self.highest_root, self.highest_coroot
         )
-        self.theta_reflection_root = self._reflection_root(
-            self.highest_root, self.highest_coroot
-        )
         assert self.pairing(self.highest_coroot, self.highest_root) == 2
+
+        # affine_cartan[j][i] = <alpha_j^vee, alpha_i> for 0 <= i, j <= rank,
+        # with alpha_0 = -theta and alpha_0^vee = -theta^vee
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        roots = [tuple(-c for c in self.highest_root), *units]
+        coroots = [tuple(-c for c in self.highest_coroot), *units]
+        duals = [[self._coroot_pairing(m, beta) for m in range(rank)] for beta in roots]
+        self.affine_cartan: Matrix = tuple(
+            tuple(sum(map(mul, cor, dual)) for dual in duals) for cor in coroots
+        )
+        # (p, k) per positive root: root p plus alpha_k, or alpha_k itself
+        # when p = -1; p comes first, since roots go by height
+        index = {beta: r for r, beta in enumerate(self.positive_roots)}
+        self.root_chain = tuple(
+            next((index.get(low, -1), k) for k in range(rank)
+                 if beta[k] and ((low := beta[:k] + (beta[k] - 1,) + beta[k + 1:]) in index
+                                 or not any(low)))
+            for beta in self.positive_roots
+        )
 
     # -- generation ------------------------------------------------------
 
@@ -217,21 +208,17 @@ class RootSystem:
         return top
 
     def _coroot_of_highest_root(self) -> Vector:
-        # For beta = sum c_i alpha_i the coroot is sum c_i d_i / d_beta coroot_i.
-        from fractions import Fraction
-
-        theta = self.highest_root
-        d = self.symmetrizers
-        norm = Fraction(
-            sum(
-                theta[i] * d[i] * self._coroot_pairing(i, theta)
-                for i in range(self.rank)
-            ),
-            2,
-        )
-        coords = [Fraction(theta[i] * d[i], 1) / norm for i in range(self.rank)]
-        assert all(c.denominator == 1 for c in coords)
-        return tuple(int(c) for c in coords)
+        # reflect theta down to a simple root alpha_k, then carry its coroot
+        # back up, using (s_i beta)^vee = s_i(beta^vee)
+        beta, path = self.highest_root, []
+        while sum(beta) > 1:
+            i, c = next((i, c) for i in range(self.rank) if (c := self._coroot_pairing(i, beta)) > 0)
+            beta = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+            path.append(i)
+        coroot = list(beta)  # alpha_k^vee has the coordinates of alpha_k
+        for i in reversed(path):
+            coroot[i] -= sum(map(mul, self.cartan[i], coroot))
+        return tuple(coroot)
 
     # -- reflections -----------------------------------------------------
 
@@ -244,25 +231,9 @@ class RootSystem:
             for m in range(rank)
         )
 
-    def _reflection_root(self, beta: Vector, beta_coroot: Vector) -> Matrix:
-        # gamma -> gamma - <beta_coroot, gamma> beta, acting on root coordinates
-        rank = self.rank
-        row = [
-            sum(beta_coroot[j] * self._a[j][k] for j in range(rank))
-            for k in range(rank)
-        ]
-        return tuple(
-            tuple(int(m == k) - beta[m] * row[k] for k in range(rank))
-            for m in range(rank)
-        )
-
     def _simple_reflection_coweight(self, i: int) -> Matrix:
         alpha = tuple(int(i == j) for j in range(self.rank))
         return self._reflection_coweight(alpha, alpha)
-
-    def _simple_reflection_root(self, i: int) -> Matrix:
-        alpha = tuple(int(i == j) for j in range(self.rank))
-        return self._reflection_root(alpha, alpha)
 
     # -- queries ---------------------------------------------------------
 

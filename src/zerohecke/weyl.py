@@ -3,21 +3,17 @@
 Elements are kept in canonical (translation, finite part) form: the finite
 part is an integer matrix acting on coweights, the translation a coweight.
 Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Finite parts are
-interned per root system and memoize their products and one step record
-per generator, so after the first O(rank^3) product of two parts,
-multiplication costs one dict lookup plus O(rank^2) for u(mu), and O(rank)
-when mu is zero; the inverse of u is its last power before the identity.
+interned per root system; each is made from a parent u as u s_j in
+O(rank^2), and a product missing from u's memo walks u along the right
+factor's canonical word.
 
-The generator of index 0 is the affine reflection in the hyperplane of the
-highest root at level one, realized as ``t^(theta_coroot) s_theta``.
-Descents are computed through the action on affine root pairs ``(alpha, m)``:
-
-    x . (alpha, m) = (u(alpha), m - <lam, u(alpha)>)      for x = t^lam u,
-
-a convention validated by the translation length identity (the pairing of
-the coweight against the sum of the positive roots) rather than trusted;
-with the step record it is one O(rank) dot product.  Length counts its
-inversions in closed form (Iwahori-Matsumoto).
+Generator 0 is ``t^(theta_coroot) s_theta``.  With alpha_0 := -theta,
+x = t^lam u sends the simple affine root i to the pair (level_i, height_i)
+= ([i = 0] - <lam, u(alpha_i)>, ht(u(alpha_i))); i is a right descent iff
+the pair is below (0, 0) lexicographically (Bjorner-Brenti, GTM 231, 4.4).
+Peeling i changes the pairs linearly, so reduced words are walked on
+integers alone (Casselman, Invent. Math. 1994), and length counts the
+inversions in closed form (Iwahori-Matsumoto) from the same pairs.
 
 >>> rs = build_root_system("A", 1)
 >>> s0, s1 = generator(rs, 0), generator(rs, 1)
@@ -74,15 +70,6 @@ class ResourceBoundError(RuntimeError):
 # -- exact integer matrix helpers ---------------------------------------
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
 def _matvec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
@@ -91,30 +78,20 @@ def _matvec(a: Matrix, v: Vector) -> Vector:
 
 
 class FinitePart:
-    """An element of the finite Weyl group, as its matrix on coweights.
+    """An element u of the finite Weyl group, as its matrix on coweights.
 
-    The companion matrix on root coordinates is carried along so that the
-    affine-root action stays in integer arithmetic; it is determined by the
-    coweight matrix, so equality and hashing use the latter only.
-
-    The library interns parts per root system, so one element of W0 is one
-    object.  A part memoizes, on first use, its products with other parts,
-    the signed duals of the positive roots' images (see
-    :func:`_signed_duals`) and one :class:`_Step` per generator.
-    Its inverse is the last power of u before the identity, walked through
-    the product memo.
+    Parts are interned per root system, so one element of W0 is one
+    object.  A part holds one :class:`_Step` per generator, made from its
+    parent's, and memoizes its products with other parts.
     """
 
-    __slots__ = ("mat", "root_mat", "_hash", "_identity", "_products",
-                 "_steps", "_positive_duals")
+    __slots__ = ("mat", "_hash", "_products", "_steps")
 
-    def __init__(self, mat: Matrix, root_mat: Matrix):
+    def __init__(self, mat: Matrix, steps: list[_Step] | None = None):
         self.mat = mat
-        self.root_mat = root_mat
         self._hash = hash(mat)
-        self._identity = mat == _identity_matrix(len(mat))
         self._products: dict[FinitePart, FinitePart] = {}
-        self._steps = self._positive_duals = None
+        self._steps = steps
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FinitePart) and self.mat == other.mat)
@@ -126,33 +103,68 @@ class FinitePart:
         return f"FinitePart({self.mat})"
 
     def is_identity(self) -> bool:
-        return self._identity
+        return all(row[k] == 1 and sum(map(abs, row)) == 1 for k, row in enumerate(self.mat))
 
 
-# One table per root system, from coweight matrix to its part.  Keyed by
-# system: B3 and C3 share some coweight matrices, but the root images a part
-# memoizes depend on the system's highest root and positive roots.
+@dataclass(slots=True)
+class _Step:
+    """Generator i as seen by a part u, with alpha_0 := -theta: the dual
+    cartan^T u(alpha_i), so that <lam, u(alpha_i)> = lam . dual; the height
+    ht(u(alpha_i)), negative iff u(alpha_i) < 0; the shift u(theta_coroot),
+    for i = 0 only; and the part u s_i, set on first use.
+    """
+
+    dual: Vector
+    height: int
+    shift: Vector | None
+    product: FinitePart | None = None
+
+
+# One table per root system, from coweight matrix to part, seeded with the
+# identity; B3 and C3 share coweight matrices but not step records.
 _FINITE_PARTS: dict[RootSystem, dict[Matrix, FinitePart]] = {}
 
 
-def _finite_parts(system: RootSystem) -> dict[Matrix, FinitePart]:
-    table = _FINITE_PARTS.get(system)
-    if table is None:
-        seeds = [(_identity_matrix(system.rank),) * 2,
-                 (system.theta_reflection_coweight, system.theta_reflection_root),
-                 *zip(system.simple_reflections_coweight, system.simple_reflections_root)]
-        table = _FINITE_PARTS[system] = {m: FinitePart(m, r) for m, r in seeds}
-    return table
+def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
+    """The part u s_j: the record's product, else the table, else a new part.
+
+    With c = u(alpha_j^vee), alpha_0^vee := -theta^vee, its matrix is
+    M_u - c (x) <., alpha_j>, its record i is u's minus affine_cartan[j][i]
+    times u's record j, and its shift u's plus affine_cartan[0][j] c.
+    """
+    steps = u._steps
+    step = steps[j]
+    if step.product is None:
+        affine, shift = system.affine_cartan, steps[0].shift
+        col = [-c for c in shift] if j == 0 else [row[j - 1] for row in u.mat]
+        form = [row[j] for row in affine[1:]]
+        mat = tuple(row if not c else tuple(m - c * f for m, f in zip(row, form))
+                    for row, c in zip(u.mat, col))
+        table = _FINITE_PARTS[system]
+        part = table.get(mat)
+        if part is None:
+            dual, height, a0 = step.dual, step.height, affine[0][j]
+            new = [_Step(tuple(d - a * e for d, e in zip(s.dual, dual)) if a else s.dual,
+                         s.height - a * height, None) for s, a in zip(steps, affine[j])]
+            new[0].shift = tuple(h + a0 * c for h, c in zip(shift, col)) if a0 else shift
+            part = table[mat] = FinitePart(mat, new)
+        step.product = part
+    return step.product
 
 
 def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
-    """The part uv: u's product memo, else the table, else a new part."""
+    """The part uv: u's product memo, else u walked along v's canonical word.
+
+    With j the smallest right descent of v (v(alpha_j) < 0), v's word is
+    that of v s_j followed by j, so uv = (u (v s_j)) s_j.
+    """
     uv = u._products.get(v)
     if uv is None:
-        table, mat = _finite_parts(system), _matmul(u.mat, v.mat)
-        uv = table.get(mat)
-        if uv is None:
-            uv = table[mat] = FinitePart(mat, _matmul(u.root_mat, v.root_mat))
+        j = next((j for j, step in enumerate(v._steps) if j and step.height < 0), 0)
+        if j:
+            uv = _times_generator(system, _product(system, u, _times_generator(system, v, j)), j)
+        else:  # v is the identity
+            uv = u
         u._products[v] = uv
     return uv
 
@@ -209,41 +221,12 @@ class AffineWeylElement:
         return AffineWeylElement(system, trans, _product(system, u, v))
 
     def inverse(self) -> AffineWeylElement:
-        inv = u = self.finite
-        while not (power := _product(self.system, inv, u)).is_identity():
-            inv = power
+        """t^(-u^-1(lam)) u^-1, with u^-1 walked along u's word reversed."""
+        system, inv = self.system, identity_element(self.system).finite
+        for j in reversed(_peel(AffineWeylElement(system, (0,) * system.rank, self.finite))):
+            inv = _times_generator(system, inv, j)
         trans = tuple(-c for c in _matvec(inv.mat, self.translation))
-        return AffineWeylElement(self.system, trans, inv)
-
-
-@dataclass(slots=True)
-class _Step:
-    """Generator i as seen by a part u: the signed dual of u(alpha_i), with
-    alpha_0 := -theta; the shift u(theta_coroot), for i = 0 only; and the
-    part u s_i, set on first use.
-    """
-
-    dual: Vector
-    negative: bool
-    shift: Vector | None
-    product: FinitePart | None = None
-
-
-def _signed_duals(system: RootSystem, part: FinitePart, roots) -> list[tuple[Vector, bool]]:
-    """(cartan^T u(beta), u(beta) < 0) for each beta in roots; <lam, u(beta)> = lam . dual."""
-    cartan_t = tuple(zip(*system.cartan))
-    images = (_matvec(part.root_mat, beta) for beta in roots)
-    return [(_matvec(cartan_t, image), any(c < 0 for c in image)) for image in images]
-
-
-def _build_steps(x: AffineWeylElement) -> list[_Step]:
-    """Give x's part one step record per generator."""
-    system, part = x.system, x.finite
-    simple = [tuple(-c for c in system.highest_root), *_identity_matrix(system.rank)]
-    shifts = [_matvec(part.mat, system.highest_coroot), *[None] * system.rank]
-    duals = _signed_duals(system, part, simple)
-    part._steps = [_Step(dual, negative, shift) for (dual, negative), shift in zip(duals, shifts)]
-    return part._steps
+        return AffineWeylElement(system, trans, inv)
 
 
 # -- constructors --------------------------------------------------------
@@ -251,8 +234,15 @@ def _build_steps(x: AffineWeylElement) -> list[_Step]:
 
 @functools.lru_cache(maxsize=None)
 def identity_element(system: RootSystem) -> AffineWeylElement:
-    n = system.rank
-    return AffineWeylElement(system, (0,) * n, _finite_parts(system)[_identity_matrix(n)])
+    """The identity; its part seeds the system's table."""
+    n, affine = system.rank, system.affine_cartan
+    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    table = _FINITE_PARTS.setdefault(system, {})
+    if mat not in table:
+        steps = [_Step(tuple(row[i] for row in affine[1:]), 1, None) for i in range(n + 1)]
+        steps[0].height, steps[0].shift = -sum(system.highest_root), system.highest_coroot
+        table[mat] = FinitePart(mat, steps)
+    return AffineWeylElement(system, (0,) * n, table[mat])
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,16 +259,7 @@ def generator(system: RootSystem, i: int) -> AffineWeylElement:
     >>> (s1 * s1 * s1).finite is s1.finite
     True
     """
-    if not 0 <= i <= system.rank:
-        raise ValueError(f"generator index {i} out of range 0..{system.rank}")
-    parts = _finite_parts(system)
-    if i == 0:
-        return AffineWeylElement(
-            system, system.highest_coroot, parts[system.theta_reflection_coweight]
-        )
-    return AffineWeylElement(
-        system, (0,) * system.rank, parts[system.simple_reflections_coweight[i - 1]]
-    )
+    return _mul_gen(identity_element(system), i)
 
 
 def generators(system: RootSystem) -> tuple[AffineWeylElement, ...]:
@@ -289,8 +270,7 @@ def translation_element(system: RootSystem, lam: Vector) -> AffineWeylElement:
     """The pure translation by the coweight lam."""
     if len(lam) != system.rank:
         raise ValueError(f"coweight of length {len(lam)} for rank {system.rank}")
-    ident = identity_element(system)
-    return AffineWeylElement(system, tuple(int(c) for c in lam), ident.finite)
+    return AffineWeylElement(system, tuple(int(c) for c in lam), identity_element(system).finite)
 
 
 def from_word(system: RootSystem, letters) -> AffineWeylElement:
@@ -304,11 +284,10 @@ def _mul_gen(x: AffineWeylElement, i: int) -> AffineWeylElement:
     """x times generator i, read off the step record of x's part."""
     if not 0 <= i <= x.system.rank:
         raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
-    step = (x.finite._steps or _build_steps(x))[i]
-    if step.product is None:
-        step.product = _product(x.system, x.finite, generator(x.system, i).finite)
+    step = x.finite._steps[i]
+    part = step.product or _times_generator(x.system, x.finite, i)
     trans = x.translation if step.shift is None else tuple(map(add, x.translation, step.shift))
-    return AffineWeylElement(x.system, trans, step.product)
+    return AffineWeylElement(x.system, trans, part)
 
 
 # -- length, descents ------------------------------------------------------
@@ -321,37 +300,67 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     >>> is_right_descent(generator(rs, 0), 0)
     True
     """
-    step = (x.finite._steps or _build_steps(x))[i]
+    if not 0 <= i <= x.system.rank:
+        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
+    step = x.finite._steps[i]
     level = (i == 0) - sum(map(mul, x.translation, step.dual))
-    return level < 0 if level else step.negative  # roots have coords of one sign
+    return level < 0 if level else step.height < 0
 
 
 def length(x: AffineWeylElement) -> int:
     """Coxeter length by the Iwahori-Matsumoto formula, independent of |lam|.
 
     For x = t^lam w, each positive root beta contributes |<lam, w beta>|
-    when w beta is positive and |<lam, w beta> + 1| when it is negative,
-    that is |<lam, alpha> - 1| for alpha = -w beta.  The finite part keeps
-    the signed duals of the images w beta, so the cost is
-    O(|positive roots| * rank) for every translation after its first use.
+    when w beta is positive and |<lam, w beta> + 1| when it is negative.
+    The simple roots' (level, height) pairs give every positive root's by
+    one addition along ``root_chain``: O(rank^2 + |roots|).
 
     >>> rs = build_root_system("A", 1)
     >>> length(translation_element(rs, (10**6,)))
     2000000
     """
     if x._length is None:
-        part = x.finite
-        if part._positive_duals is None:
-            part._positive_duals = _signed_duals(x.system, part, x.system.positive_roots)
-        total = 0
-        for dual, negative in part._positive_duals:
-            pairing = sum(map(mul, x.translation, dual))
-            total += abs(pairing + 1) if negative else abs(pairing)
+        lam = x.translation
+        simple = [(-sum(map(mul, lam, step.dual)), step.height) for step in x.finite._steps[1:]]
+        images, total = [], 0
+        for p, k in x.system.root_chain:
+            level, height = simple[k]
+            if p >= 0:
+                pl, ph = images[p]
+                level, height = level + pl, height + ph
+            images.append((level, height))
+            total += abs(level - 1) if height < 0 else abs(level)
         x._length = total
     return x._length
 
 
 # -- reduced words -------------------------------------------------------
+
+
+def _peel(x: AffineWeylElement) -> tuple[int, ...]:
+    """x's canonical word: peel the smallest right descent, length(x) times.
+
+    Peeling i sends pair k to pair_k - affine_cartan[i][k] * pair_i; a
+    descent must exist at every step and none may be left at the end.
+    """
+    lam, letters = x.translation, []
+    pairs = [((i == 0) - sum(map(mul, lam, step.dual)), step.height)
+             for i, step in enumerate(x.finite._steps)]
+    rows = [[(k, a) for k, a in enumerate(row) if a] for row in x.system.affine_cartan]
+    for _ in range(length(x)):
+        for i, pair in enumerate(pairs):
+            if pair < (0, 0):
+                break
+        else:
+            break
+        letters.append(i)
+        level, height = pairs[i]
+        for k, a in rows[i]:
+            pairs[k] = (pairs[k][0] - a * level, pairs[k][1] - a * height)
+    else:
+        if not any(pair < (0, 0) for pair in pairs):
+            return tuple(reversed(letters))
+    raise AssertionError(f"broken descent walk for t{x.translation} {x.finite!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,17 +371,7 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     >>> reduced_word(translation_element(rs, (1,)))
     (0, 1)
     """
-    letters = []
-    cur = x
-    while not cur.is_identity():
-        for i in range(cur.system.rank + 1):
-            if is_right_descent(cur, i):
-                letters.append(i)
-                cur = _mul_gen(cur, i)
-                break
-        else:  # pragma: no cover - would mean a broken descent computation
-            raise AssertionError(f"no descent found for non-identity element {cur!r}")
-    return tuple(reversed(letters))
+    return _peel(x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,14 +517,11 @@ def antidominant_rep(system: RootSystem, lam: Vector) -> AffineWeylElement:
 
 def antidominant_orbit_rep(system: RootSystem, lam: Vector) -> Vector:
     """The unique antidominant coweight in the finite Weyl orbit of lam."""
-    lam = tuple(int(c) for c in lam)
-    while True:
-        for i in range(system.rank):
-            if system.pairing(lam, tuple(int(i == j) for j in range(system.rank))) > 0:
-                lam = _matvec(system.simple_reflections_coweight[i], lam)
-                break
-        else:
-            return lam
+    lam = [int(c) for c in lam]
+    while (i := next((i for i, row in enumerate(system.cartan)
+                      if sum(map(mul, row, lam)) > 0), -1)) >= 0:
+        lam[i] -= sum(map(mul, system.cartan[i], lam))  # s_i, as <lam, alpha_i> > 0
+    return tuple(lam)
 
 
 @functools.lru_cache(maxsize=None)

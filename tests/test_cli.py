@@ -1,5 +1,6 @@
 """The command-line interface: commands, schemas, exit codes, cache."""
 
+import hashlib
 import json
 import re
 import time
@@ -231,6 +232,16 @@ def test_check_reports_failures_with_corrupted_rule(capsys, monkeypatch):
     assert json.loads(out)["failures"]
 
 
+def test_check_respects_max_elements(capsys):
+    # the braid suite reads the N-ball: 166 elements on A2 at N=10, 19 at N=3
+    argv = ("check", "braid", "--type", "A", "--rank", "2")
+    code, out, err = run(capsys, *argv, "--max-length", "10", "--max-elements", "10")
+    assert code == EXIT_RESOURCE
+    assert out == "" and err.startswith("error:") and "exceeded 10" in err
+    code, out, _ = run(capsys, *argv, "--max-length", "3", "--max-elements", "19")
+    assert code == EXIT_OK and json.loads(out)["failures"] == []
+
+
 # -- graph ------------------------------------------------------------------------
 
 
@@ -342,3 +353,28 @@ def test_single_term_outputs_skip_the_sort_key(capsys):
         assert time.perf_counter() - t0 < 1.0, argv
         assert code == EXIT_OK, err
         assert len(json.loads(out)) == 1
+
+
+# -- canonical words: output pinned byte for byte ---------------------------------
+
+
+def _stdout_sha256(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_enumerate_and_graph_output_is_pinned(tmp_path, capsys):
+    # the order of each shell and every printed word are the canonical ones
+    pinned = {
+        ("enumerate", "A", "2", "10"):
+            "6baf6a7bf945afad2a2901f666441a5d3bc3b3f1e74c4d876b114ddfc4623120",
+        ("enumerate", "E", "8", "3"):
+            "3ed9fdc5d484e6340e233ebd8f58ae80b8db1c5be8172ebd416c7c9a32ce8421",
+        ("graph", "A", "2", "5"):
+            "e6645b44b773e421fa8d3913747e64203b61a850e70ffd41d2484d8cab2bbbb6",
+    }
+    for (command, lie_type, rank, n), digest in pinned.items():
+        argv = (command, "--type", lie_type, "--rank", rank, "--max-length", n,
+                "--cache", str(tmp_path))
+        assert _stdout_sha256(capsys, *argv) == digest, argv

@@ -119,26 +119,79 @@ def test_associativity_spot_checks():
 # -- interned finite parts ------------------------------------------------------
 
 
-def _generator_matrices(system, i):
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _reflection(beta, beta_coroot, pair):
+    # the matrix of gamma -> gamma - pair(beta_coroot, gamma) beta on unit vectors
+    rank = len(beta)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    images = [tuple(g - pair(beta_coroot, unit) * b for g, b in zip(unit, beta)) for unit in units]
+    return tuple(zip(*images))
+
+
+def _root_reflections(system):
+    # plain root-coordinate matrices of s_theta, s_1, ..., s_rank, built here
+    rank = system.rank
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+    def pair(coroot, root):  # <coroot, root>, coroot in the simple-coroot basis
+        return sum(c * root[i] * system.cartan[i][j] for j, c in enumerate(coroot)
+                   for i in range(rank))
+
+    return [_reflection(system.highest_root, system.highest_coroot, pair),
+            *(_reflection(u, u, pair) for u in units)]
+
+
+def _generator_coweight_matrix(system, i):
     if i == 0:
-        return system.theta_reflection_coweight, system.theta_reflection_root
-    return system.simple_reflections_coweight[i - 1], system.simple_reflections_root[i - 1]
+        return system.theta_reflection_coweight
+    return system.simple_reflections_coweight[i - 1]
 
 
-@pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8)])
+@pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8),
+                                             ("F", 4, 3), ("E", 6, 3)])
 def test_interned_parts_match_matrix_products(lie_type, rank, n):
     # oracle: plain products of the generator matrices along the reduced word;
-    # B3 and C3 share coweight matrices, so a shared table would break one
+    # B3 and C3 share coweight matrices, so a shared table would break one.
+    # The step records are checked against the root images R alpha_i, with
+    # alpha_0 = -theta: dual = cartan^T R alpha_i, height = ht(R alpha_i),
+    # and the i = 0 shift is M theta_coroot.
     system = build_root_system(lie_type, rank)
     ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    cartan_t = tuple(zip(*system.cartan))
+    simple = [tuple(-c for c in system.highest_root), *ident]
+    reflections = _root_reflections(system)
     for depth, shell in enumerate(enumerate_ball(system, n)):
         for x in shell:
             mat = root_mat = ident
             for i in reduced_word(x):
-                g_mat, g_root = _generator_matrices(system, i)
-                mat, root_mat = weyl._matmul(mat, g_mat), weyl._matmul(root_mat, g_root)
-            assert (x.finite.mat, x.finite.root_mat) == (mat, root_mat), x
+                mat = _matmul(mat, _generator_coweight_matrix(system, i))
+                root_mat = _matmul(root_mat, reflections[i])
+            assert x.finite.mat == mat, x
+            for i, (step, alpha) in enumerate(zip(x.finite._steps, simple)):
+                image = _matvec(root_mat, alpha)
+                assert step.dual == _matvec(cartan_t, image), (x, i)
+                assert step.height == sum(image), (x, i)
+            assert x.finite._steps[0].shift == _matvec(mat, system.highest_coroot), x
             assert length(AffineWeylElement(system, x.translation, x.finite)) == depth, x
+
+
+@pytest.mark.parametrize("lie_type,rank", [("B", 3), ("G", 2), ("F", 4)])
+def test_general_products_match_matrix_products(lie_type, rank):
+    # products whose memo is empty walk the left part along the right
+    # part's word; the oracle is the plain product of the coweight matrices
+    system = build_root_system(lie_type, rank)
+    rng = random.Random(17)
+    for _ in range(200):
+        x, y = (from_word(system, [rng.randrange(rank + 1) for _ in range(rng.randrange(12))])
+                for _ in range(2))
+        assert (x * y).finite.mat == _matmul(x.finite.mat, y.finite.mat), (x, y)
 
 
 def test_b3_and_c3_share_no_parts():
@@ -171,10 +224,10 @@ def test_intern_table_is_the_finite_weyl_group(lie_type, rank, n, order):
 
 def test_is_identity_of_parts_built_outside_the_table():
     ident = ((1, 0), (0, 1))
-    assert FinitePart(ident, ident).is_identity()
+    assert FinitePart(ident).is_identity()
     s1 = generator(A2, 1).finite
-    assert not FinitePart(s1.mat, s1.root_mat).is_identity()
-    assert FinitePart(s1.mat, s1.root_mat) == s1
+    assert not FinitePart(s1.mat).is_identity()
+    assert FinitePart(s1.mat) == s1
 
 
 # -- length ---------------------------------------------------------------------
@@ -244,6 +297,14 @@ def test_descents_track_length_change():
                 assert is_right_descent(x, i) == (delta == -1), (x, i)
 
 
+def test_descent_index_is_checked():
+    for system in (A2, build_root_system("G", 2)):
+        x = from_word(system, [0, 1, 2])
+        for bad in (-1, system.rank + 1):
+            with pytest.raises(ValueError, match=f"generator index {bad} out of range 0..2"):
+                is_right_descent(x, bad)
+
+
 # -- reduced words -----------------------------------------------------------------
 
 
@@ -259,6 +320,38 @@ def test_reduced_words_reconstruct():
             word = reduced_word(x)
             assert len(word) == length(x)
             assert from_word(system, word) == x
+
+
+def _reference_word(x):
+    # peel the smallest right descent, one generic step at a time
+    letters = []
+    while not x.is_identity():
+        i = next(i for i in range(x.system.rank + 1) if is_right_descent(x, i))
+        letters.append(i)
+        x = weyl._mul_gen(x, i)
+    return tuple(reversed(letters))
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,n",
+    [("A", 1, 8), ("A", 2, 8), ("C", 2, 8), ("G", 2, 8), ("A", 3, 3), ("B", 3, 3),
+     ("C", 3, 3), ("D", 4, 3), ("F", 4, 3), ("E", 6, 3), ("E", 8, 3)],
+)
+def test_reduced_word_is_the_smallest_descent_peel(lie_type, rank, n):
+    system = build_root_system(lie_type, rank)
+    for x in flat_ball(system, n):
+        assert reduced_word(x) == _reference_word(x), x
+
+
+def test_reduced_word_of_long_elements_is_the_smallest_descent_peel():
+    rng = random.Random(23)
+    for system in (A2, C2, build_root_system("G", 2), build_root_system("A", 3)):
+        for _ in range(5):
+            lam = tuple(rng.choice((-1, 1)) * rng.randrange(600, 900) for _ in range(system.rank))
+            x = translation_element(system, lam) * from_word(
+                system, [rng.randrange(system.rank + 1) for _ in range(10)])
+            assert length(x) >= 1000, x
+            assert reduced_word(x) == _reference_word(x), x
 
 
 def test_all_reduced_words_examples():
