@@ -60,8 +60,8 @@ def _timed(fn):
     return wrapper
 
 
-def _flat_ball(system: RootSystem, n: int):
-    return [x for shell in weyl.enumerate_ball(system, n) for x in shell]
+def _flat_ball(system: RootSystem, n: int, max_elements: int):
+    return [x for shell in weyl.enumerate_ball(system, n, max_elements) for x in shell]
 
 
 class _ClassTable:
@@ -141,12 +141,13 @@ def check_braid(
     basis_bound: int = 6,
     n_random: int = 20,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
     """Alternating Demazure words of the Coxeter order agree, per generator pair."""
     rng = rng or random.Random(0)
     report = CheckReport("braid")
     table = _ClassTable(system)
-    ball = _flat_ball(system, basis_bound)
+    ball = _flat_ball(system, basis_bound, max_elements)
     ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
     for i in range(system.rank + 1):
@@ -188,15 +189,16 @@ def check_words(
     basis_bound: int = 7,
     n_random: int = 5,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
     """Every reduced word of an element induces the same operator."""
     rng = rng or random.Random(0)
     report = CheckReport("words")
     table = _ClassTable(system)
-    ball = _flat_ball(system, basis_bound)
+    ball = _flat_ball(system, basis_bound, max_elements)
     ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
-    for x in _flat_ball(system, word_bound):
+    for x in _flat_ball(system, word_bound, max_elements):
         words = weyl.all_reduced_words(x, max_length=word_bound)
         if len(words) < 2:
             continue
@@ -233,12 +235,13 @@ def check_compose(
     basis_bound: int = 6,
     n_random: int = 20,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
     """Composites multiply along lengths, and every generator is idempotent."""
     rng = rng or random.Random(0)
     report = CheckReport("compose")
     table = _ClassTable(system)
-    basis = _flat_ball(system, basis_bound)
+    basis = _flat_ball(system, basis_bound, max_elements)
     ids = [table.intern(w) for w in basis]
     ring = torus_ring(system, p)
 
@@ -251,7 +254,7 @@ def check_compose(
                 report.fail({"generator": s, "basis": table.word(k),
                              "lhs": table.word(twice), "rhs": table.word(once)})
 
-    pool = _flat_ball(system, pair_bound)
+    pool = _flat_ball(system, pair_bound, max_elements)
     pairs = []
     for u in pool:
         for v in pool:
@@ -289,12 +292,13 @@ def check_xi(
     exhaustive_bound: int = 4,
     n_random: int = 1000,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
     """The basis relabeling intertwines the algebra product with the action."""
     rng = rng or random.Random(0)
     report = CheckReport("xi")
     ring = torus_ring(system, p)
-    ball = _flat_ball(system, exhaustive_bound)
+    ball = _flat_ball(system, exhaustive_bound, max_elements)
     for u in ball:
         yu = hecke.basis_y(u, ring)
         xi_yu = kmodule.schubert_from_hecke(yu)
@@ -425,13 +429,14 @@ def check_specialize(
     n_instances: int = 1000,
     key_bound: int = 4,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
     """Specializing at the torus identity intertwines the right action."""
     rng = rng or random.Random(0)
     report = CheckReport("specialize")
     ring = torus_ring(system, p)
-    ball = _flat_ball(system, key_bound)
-    ops = _flat_ball(system, 3)
+    ball = _flat_ball(system, key_bound, max_elements)
+    ops = _flat_ball(system, 3, max_elements)
     field = PrimeField(p)
     for _ in range(n_instances):
         report.count()
@@ -451,10 +456,12 @@ def check_specialize(
 
 
 @_timed
-def check_bruhat_oracle(system: RootSystem, max_len: int = 5) -> CheckReport:
+def check_bruhat_oracle(
+    system: RootSystem, max_len: int = 5, max_elements: int = 1_000_000
+) -> CheckReport:
     """Descent-recursion Bruhat order equals brute-force subword containment."""
     report = CheckReport("bruhat-oracle")
-    ball = _flat_ball(system, max_len)
+    ball = _flat_ball(system, max_len, max_elements)
     for u in ball:
         for w in ball:
             report.count()
@@ -495,29 +502,30 @@ def run_suite(
     name: str, system: RootSystem, p: int, max_length: int, seed: int = 0,
     max_elements: int = 1_000_000,
 ) -> CheckReport:
-    """Run one named suite at a scale driven by the configured truncation,
-    after enumerating the largest ball it reads under ``max_elements``."""
+    """Run one named suite at a scale driven by the configured truncation;
+    every ball a suite reads is enumerated under ``max_elements``."""
     rng = random.Random(seed)
-    n = max_length
-    ball = {"braid": n, "words": n + 2, "compose": n, "xi": min(n, 4),
-            "specialize": max(min(n, 4), 3), "bruhat-oracle": min(n, 5)}
-    weyl.enumerate_ball(system, ball.get(name, 0), max_elements)
+    n, bound = max_length, max_elements
     if name == "braid":
-        return check_braid(system, p, basis_bound=n, rng=rng)
+        return check_braid(system, p, basis_bound=n, rng=rng, max_elements=bound)
     if name == "words":
-        return check_words(system, p, word_bound=min(n, 6), basis_bound=n + 2, rng=rng)
+        return check_words(system, p, word_bound=min(n, 6), basis_bound=n + 2, rng=rng,
+                           max_elements=bound)
     if name == "compose":
-        return check_compose(system, p, pair_bound=min(n, 6), basis_bound=n, rng=rng)
+        return check_compose(system, p, pair_bound=min(n, 6), basis_bound=n, rng=rng,
+                             max_elements=bound)
     if name == "xi":
-        return check_xi(system, p, exhaustive_bound=min(n, 4), n_random=200, rng=rng)
+        return check_xi(system, p, exhaustive_bound=min(n, 4), n_random=200, rng=rng,
+                        max_elements=bound)
     if name == "theta":
         return check_theta(system, p, max_coord=min(n, 3), rng=rng)
     if name == "spherical":
         return check_spherical(system, p, max_coord=min(n, 4))
     if name == "specialize":
-        return check_specialize(system, p, n_instances=200, key_bound=min(n, 4), rng=rng)
+        return check_specialize(system, p, n_instances=200, key_bound=min(n, 4), rng=rng,
+                                max_elements=bound)
     if name == "bruhat-oracle":
-        return check_bruhat_oracle(system, max_len=min(n, 5))
+        return check_bruhat_oracle(system, max_len=min(n, 5), max_elements=bound)
     if name == "length-formula":
         return check_length_formula(system, max_coord=n)
     raise ValueError(f"unknown check suite {name!r}; choose from {SUITES} or 'all'")

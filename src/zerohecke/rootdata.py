@@ -131,12 +131,6 @@ class RootSystem:
         )
         self.highest_coroot: Vector = self._coroot_of_highest_root()
 
-        self.simple_reflections_coweight = tuple(
-            self._simple_reflection_coweight(i) for i in range(rank)
-        )
-        self.theta_reflection_coweight = self._reflection_coweight(
-            self.highest_root, self.highest_coroot
-        )
         assert self.pairing(self.highest_coroot, self.highest_root) == 2
 
         # affine_cartan[j][i] = <alpha_j^vee, alpha_i> for 0 <= i, j <= rank,
@@ -219,21 +213,6 @@ class RootSystem:
         for i in reversed(path):
             coroot[i] -= sum(map(mul, self.cartan[i], coroot))
         return tuple(coroot)
-
-    # -- reflections -----------------------------------------------------
-
-    def _reflection_coweight(self, beta: Vector, beta_coroot: Vector) -> Matrix:
-        # lam -> lam - <lam, beta> beta_coroot, acting on coroot coordinates
-        rank = self.rank
-        col = [sum(self.cartan[i][k] * beta[i] for i in range(rank)) for k in range(rank)]
-        return tuple(
-            tuple(int(m == k) - beta_coroot[m] * col[k] for k in range(rank))
-            for m in range(rank)
-        )
-
-    def _simple_reflection_coweight(self, i: int) -> Matrix:
-        alpha = tuple(int(i == j) for j in range(self.rank))
-        return self._reflection_coweight(alpha, alpha)
 
     # -- queries ---------------------------------------------------------
 

@@ -222,8 +222,8 @@ class AffineWeylElement:
 
     def inverse(self) -> AffineWeylElement:
         """t^(-u^-1(lam)) u^-1, with u^-1 walked along u's word reversed."""
-        system, inv = self.system, identity_element(self.system).finite
-        for j in reversed(_peel(AffineWeylElement(system, (0,) * system.rank, self.finite))):
+        system, u, inv = self.system, self.finite, identity_element(self.system).finite
+        for j in reversed(reduced_word(AffineWeylElement(system, (0,) * system.rank, u))):
             inv = _times_generator(system, inv, j)
         trans = tuple(-c for c in _matvec(inv.mat, self.translation))
         return AffineWeylElement(system, trans, inv)
@@ -337,11 +337,16 @@ def length(x: AffineWeylElement) -> int:
 # -- reduced words -------------------------------------------------------
 
 
-def _peel(x: AffineWeylElement) -> tuple[int, ...]:
-    """x's canonical word: peel the smallest right descent, length(x) times.
+@functools.lru_cache(maxsize=None)
+def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
+    """The canonical reduced word: peel the smallest right descent, length(x) times.
 
     Peeling i sends pair k to pair_k - affine_cartan[i][k] * pair_i; a
     descent must exist at every step and none may be left at the end.
+
+    >>> rs = build_root_system("A", 1)
+    >>> reduced_word(translation_element(rs, (1,)))
+    (0, 1)
     """
     lam, letters = x.translation, []
     pairs = [((i == 0) - sum(map(mul, lam, step.dual)), step.height)
@@ -361,17 +366,6 @@ def _peel(x: AffineWeylElement) -> tuple[int, ...]:
         if not any(pair < (0, 0) for pair in pairs):
             return tuple(reversed(letters))
     raise AssertionError(f"broken descent walk for t{x.translation} {x.finite!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
-    """The canonical reduced word: peel the smallest right descent.
-
-    >>> rs = build_root_system("A", 1)
-    >>> reduced_word(translation_element(rs, (1,)))
-    (0, 1)
-    """
-    return _peel(x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -64,6 +64,20 @@ def test_instance_counts_at_relations_scale(suite, lie_type, count):
     assert report.instance_count == count
 
 
+@pytest.mark.parametrize(
+    "name,largest",
+    [("braid", 3), ("words", 5), ("compose", 3), ("xi", 3), ("specialize", 3),
+     ("bruhat-oracle", 3)],
+)
+def test_suites_enumerate_their_balls_under_max_elements(name, largest):
+    # at N = 3 each suite's largest ball has radius `largest`; the bound is
+    # met at exactly that ball's size and exceeded one below it
+    size = sum(len(shell) for shell in weyl.enumerate_ball(A2, largest))
+    with pytest.raises(weyl.ResourceBoundError):
+        checks.run_suite(name, A2, 3, 3, max_elements=size - 1)
+    assert checks.run_suite(name, A2, 3, 3, max_elements=size).passed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown check suite"):
         checks.run_suite("nope", A2, 3, 3)

@@ -128,7 +128,8 @@ def _matvec(a, v):
 
 
 def _reflection(beta, beta_coroot, pair):
-    # the matrix of gamma -> gamma - pair(beta_coroot, gamma) beta on unit vectors
+    # the matrix of gamma -> gamma - pair(beta_coroot, gamma) beta on unit vectors;
+    # with the roles of root and coroot swapped it reflects coweights
     rank = len(beta)
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     images = [tuple(g - pair(beta_coroot, unit) * b for g, b in zip(unit, beta)) for unit in units]
@@ -148,10 +149,15 @@ def _root_reflections(system):
             *(_reflection(u, u, pair) for u in units)]
 
 
-def _generator_coweight_matrix(system, i):
-    if i == 0:
-        return system.theta_reflection_coweight
-    return system.simple_reflections_coweight[i - 1]
+def _coweight_reflections(system):
+    # plain coweight matrices of s_theta, s_1, ..., s_rank: lam -> lam - <lam, beta> beta^vee
+    units = [tuple(int(i == j) for j in range(system.rank)) for i in range(system.rank)]
+
+    def pair(root, coweight):
+        return system.pairing(coweight, root)
+
+    return [_reflection(system.highest_coroot, system.highest_root, pair),
+            *(_reflection(u, u, pair) for u in units)]
 
 
 @pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8),
@@ -167,11 +173,12 @@ def test_interned_parts_match_matrix_products(lie_type, rank, n):
     cartan_t = tuple(zip(*system.cartan))
     simple = [tuple(-c for c in system.highest_root), *ident]
     reflections = _root_reflections(system)
+    coweight_reflections = _coweight_reflections(system)
     for depth, shell in enumerate(enumerate_ball(system, n)):
         for x in shell:
             mat = root_mat = ident
             for i in reduced_word(x):
-                mat = _matmul(mat, _generator_coweight_matrix(system, i))
+                mat = _matmul(mat, coweight_reflections[i])
                 root_mat = _matmul(root_mat, reflections[i])
             assert x.finite.mat == mat, x
             for i, (step, alpha) in enumerate(zip(x.finite._steps, simple)):

@@ -10,16 +10,13 @@ killed, survived or timeout.
 
 Run from anywhere, with the standard library only:
 
-    python3 tools/mutants.py                 # every mutant
-    python3 tools/mutants.py --list          # names only
-    python3 tools/mutants.py peel-largest-descent --timeout 60
+    python3 tools/mutants.py
 
-The exit status is 0 when every selected mutant was killed, 1 otherwise.
+The exit status is 0 when every mutant was killed, 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -33,6 +30,7 @@ WEYL, ROOTDATA = "src/zerohecke/weyl.py", "src/zerohecke/rootdata.py"
 CHECKS, KMODULE, CLI = "src/zerohecke/checks.py", "src/zerohecke/kmodule.py", "src/zerohecke/cli.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+TIMEOUT = 300  # seconds per tier-1 run
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".benchmarks", ".perfbench-work", "*.egg-info")
 
@@ -61,6 +59,9 @@ MUTANTS = {
     "check-ignores-max-elements": [
         (CLI, "args.seed, args.max_elements)", "args.seed)", 1),
     ],
+    "suite-ball-ignores-max-elements": [
+        (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 1),
+    ],
     # interned finite parts
     "one-part-table-for-all-systems": [
         (WEYL, "_FINITE_PARTS.setdefault(system, {})", "_FINITE_PARTS.setdefault(system.rank, {})", 1),
@@ -75,8 +76,8 @@ MUTANTS = {
          "return AffineWeylElement(system, trans, FinitePart(inv.mat, inv._steps))", 1),
     ],
     "inverse-drops-a-letter": [
-        (WEYL, "self.finite))):\n            inv = _times_generator",
-         "self.finite))[1:]):\n            inv = _times_generator", 1),
+        (WEYL, "rank, u))):\n            inv = _times_generator",
+         "rank, u))[1:]):\n            inv = _times_generator", 1),
     ],
     # step records and the rank-one update
     "identity-records-untransposed": [
@@ -109,6 +110,9 @@ MUTANTS = {
     "length-sign-on-negative-images": [
         (WEYL, "abs(level - 1) if height < 0", "abs(level + 1) if height < 0", 1),
     ],
+    "length-chain-drops-the-parent-level": [
+        (WEYL, "level, height = level + pl, height + ph", "height = height + ph", 1),
+    ],
     "peel-largest-descent": [
         (WEYL, "for i, pair in enumerate(pairs):\n            if pair < (0, 0):",
          "for i, pair in reversed(list(enumerate(pairs))):\n            if pair < (0, 0):", 1),
@@ -133,42 +137,29 @@ def apply(tree: Path, edits) -> None:
         compile((tree / name).read_text(), name, "exec")
 
 
-def run(name: str, timeout: float) -> str:
+def run(name: str) -> str:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         apply(tree, MUTANTS[name])
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
-            proc = subprocess.run(TIER1, cwd=tree, env=env, timeout=timeout,
+            proc = subprocess.run(TIER1, cwd=tree, env=env, timeout=TIMEOUT,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except subprocess.TimeoutExpired:
             return "timeout"
         return "survived" if proc.returncode == 0 else "killed"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per tier-1 run (default 300)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(MUTANTS))
-        return 0
-    unknown = [n for n in args.names if n not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    names = args.names or list(MUTANTS)
+def main() -> int:
     killed = 0
-    for name in names:
+    for name in MUTANTS:
         t0 = time.monotonic()
-        outcome = run(name, args.timeout)
+        outcome = run(name)
         killed += outcome == "killed"
         print(f"{outcome:8s} {name} ({time.monotonic() - t0:.1f} s)", flush=True)
-    print(f"killed {killed} of {len(names)}")
-    return 0 if killed == len(names) else 1
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
