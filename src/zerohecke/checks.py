@@ -120,8 +120,14 @@ def _random_vector(system, ring, pool, rng: random.Random, max_terms=3):
 
 
 @_timed
-def check_length_formula(system: RootSystem, max_coord: int = 3) -> CheckReport:
-    """Translation length equals the pairing against the positive-root sum."""
+def check_length_formula(system: RootSystem, max_coord: int = 3,
+                         max_elements: int = 1_000_000) -> CheckReport:
+    """Translation length equals the pairing against the positive-root sum,
+    over the (max_coord + 1)^rank coweights of a box, at most ``max_elements``."""
+    side = max_coord + 1
+    if side ** system.rank > max_elements:
+        raise weyl.ResourceBoundError(
+            f"length-formula would scan {side}^{system.rank} coweights, more than {max_elements}")
     report = CheckReport("length-formula")
     for lam in system.dominant_coweights(max_coord):
         report.count()
@@ -527,5 +533,5 @@ def run_suite(
     if name == "bruhat-oracle":
         return check_bruhat_oracle(system, max_len=min(n, 5), max_elements=bound)
     if name == "length-formula":
-        return check_length_formula(system, max_coord=n)
+        return check_length_formula(system, max_coord=n, max_elements=bound)
     raise ValueError(f"unknown check suite {name!r}; choose from {SUITES} or 'all'")

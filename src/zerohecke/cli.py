@@ -46,6 +46,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# Root-system construction grows steeply with rank; rank 32 builds in well
+# under a second, and no shipped example goes past rank 8.
+MAX_RANK = 32
+
 
 class UsageError(ValueError):
     pass
@@ -93,6 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_system(args) -> RootSystem:
     if not is_prime(args.prime):
         raise UsageError(f"--prime {args.prime} is not prime")
+    if args.rank > MAX_RANK:
+        raise UsageError(f"--rank must be <= {MAX_RANK}, got {args.rank}")
     if args.max_length < 0:
         raise UsageError(f"--max-length must be >= 0, got {args.max_length}")
     if args.max_elements < 1:

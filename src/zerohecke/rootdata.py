@@ -100,7 +100,8 @@ class RootSystem:
     """Cartan data of one irreducible type, immutable after construction.
 
     Do not instantiate directly; use :func:`build_root_system`, which
-    validates the (type, rank) pair and interns the instances.
+    validates the (type, rank) pair and interns the instances, so root
+    systems compare by identity.
     """
 
     def __init__(self, lie_type: str, rank: int):
@@ -258,23 +259,13 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.lie_type!r}, {self.rank})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootSystem)
-            and self.lie_type == other.lie_type
-            and self.rank == other.rank
-        )
-
-    def __hash__(self):
-        return hash(("RootSystem", self.lie_type, self.rank))
-
     def to_jsonable(self) -> dict:
         return {"type": self.lie_type, "rank": self.rank}
 
 
-@functools.lru_cache(maxsize=None)
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
-    """Construct (and intern) the root system of one irreducible type.
+    """Construct (and intern) the root system of one irreducible type:
+    one object per (type, rank), however the call is spelled.
 
     >>> build_root_system("G", 2).num_positive_roots
     6
@@ -284,7 +275,12 @@ def build_root_system(lie_type: str, rank: int) -> RootSystem:
     ValueError: invalid root system type ('A', 0): supported are A(l>=1), \
 B(l>=2), C(l>=2), D(l>=4), E(6,7,8), F(4), G(2)
     """
-    return RootSystem(lie_type, int(rank))
+    return _interned(lie_type, int(rank))
+
+
+@functools.lru_cache(maxsize=None)
+def _interned(lie_type: str, rank: int) -> RootSystem:
+    return RootSystem(lie_type, rank)
 
 
 def root_system_from_jsonable(data: dict) -> RootSystem:

@@ -81,23 +81,17 @@ class FinitePart:
     """An element u of the finite Weyl group, as its matrix on coweights.
 
     Parts are interned per root system, so one element of W0 is one
-    object.  A part holds one :class:`_Step` per generator, made from its
-    parent's, and memoizes its products with other parts.
+    object, and parts compare by identity.  A part holds one
+    :class:`_Step` per generator, made from its parent's, and memoizes its
+    products with other parts.
     """
 
-    __slots__ = ("mat", "_hash", "_products", "_steps")
+    __slots__ = ("mat", "_products", "_steps")
 
     def __init__(self, mat: Matrix, steps: list[_Step] | None = None):
         self.mat = mat
-        self._hash = hash(mat)
         self._products: dict[FinitePart, FinitePart] = {}
         self._steps = steps
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FinitePart) and self.mat == other.mat)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"FinitePart({self.mat})"
@@ -172,8 +166,9 @@ def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
 class AffineWeylElement:
     """A group element in canonical (translation, finite part) form.
 
-    Immutable; equality is componentwise, so two elements are equal exactly
-    when they are the same group element.
+    Immutable.  Two elements are equal iff they hold the same part object,
+    which fixes the root system, and equal translations: exactly when they
+    are the same group element.
     """
 
     __slots__ = ("system", "translation", "finite", "_hash", "_length")
@@ -186,18 +181,15 @@ class AffineWeylElement:
         self._length = None
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AffineWeylElement)
-            and self.system == other.system
+            and self.finite is other.finite
             and self.translation == other.translation
-            and self.finite == other.finite
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.system.lie_type, self.system.rank, self.translation, self.finite._hash)
-            )
+            self._hash = hash((self.translation, self.finite))
         return self._hash
 
     def __repr__(self):
@@ -211,7 +203,7 @@ class AffineWeylElement:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
         system, u, v = self.system, self.finite, other.finite
-        if system is not other.system and system != other.system:
+        if system is not other.system:
             raise ValueError(
                 f"cannot multiply elements over {system!r} and {other.system!r}"
             )
@@ -245,7 +237,6 @@ def identity_element(system: RootSystem) -> AffineWeylElement:
     return AffineWeylElement(system, (0,) * n, table[mat])
 
 
-@functools.lru_cache(maxsize=None)
 def generator(system: RootSystem, i: int) -> AffineWeylElement:
     """The i-th Coxeter generator, 0 <= i <= rank.
 
@@ -337,6 +328,13 @@ def length(x: AffineWeylElement) -> int:
 # -- reduced words -------------------------------------------------------
 
 
+def _root_pairs(x: AffineWeylElement) -> list[tuple[int, int]]:
+    """The (level, height) pair of x(alpha_i) for each generator i."""
+    lam = x.translation
+    return [((i == 0) - sum(map(mul, lam, step.dual)), step.height)
+            for i, step in enumerate(x.finite._steps)]
+
+
 @functools.lru_cache(maxsize=None)
 def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     """The canonical reduced word: peel the smallest right descent, length(x) times.
@@ -348,9 +346,7 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     >>> reduced_word(translation_element(rs, (1,)))
     (0, 1)
     """
-    lam, letters = x.translation, []
-    pairs = [((i == 0) - sum(map(mul, lam, step.dual)), step.height)
-             for i, step in enumerate(x.finite._steps)]
+    letters, pairs = [], _root_pairs(x)
     rows = [[(k, a) for k, a in enumerate(row) if a] for row in x.system.affine_cartan]
     for _ in range(length(x)):
         for i, pair in enumerate(pairs):
@@ -368,18 +364,6 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     raise AssertionError(f"broken descent walk for t{x.translation} {x.finite!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _all_reduced_words(x: AffineWeylElement) -> tuple[tuple[int, ...], ...]:
-    if x.is_identity():
-        return ((),)
-    words = []
-    for i in range(x.system.rank + 1):
-        if is_right_descent(x, i):
-            for w in _all_reduced_words(_mul_gen(x, i)):
-                words.append(w + (i,))
-    return tuple(words)
-
-
 def all_reduced_words(x: AffineWeylElement, max_length: int = 10) -> tuple[tuple[int, ...], ...]:
     """Every reduced word of x, by branching over right descents.
 
@@ -392,7 +376,10 @@ def all_reduced_words(x: AffineWeylElement, max_length: int = 10) -> tuple[tuple
             f"element has length {n} > guard {max_length}; raise max_length "
             "to branch over all reduced words anyway"
         )
-    return _all_reduced_words(x)
+    if not n:
+        return ((),)
+    return tuple(w + (i,) for i in range(x.system.rank + 1) if is_right_descent(x, i)
+                 for w in all_reduced_words(_mul_gen(x, i), max_length))
 
 
 # -- Bruhat order --------------------------------------------------------
@@ -411,7 +398,7 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     >>> bruhat_leq(from_word(rs, [0, 1]), from_word(rs, [1, 0]))
     False
     """
-    if u.system != w.system:
+    if u.system is not w.system:
         raise ValueError("Bruhat comparison across different root systems")
     lu, lw = length(u), length(w)
     while lu:
@@ -429,38 +416,37 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def enumerate_ball(
     system: RootSystem, max_len: int, max_elements: int = 1_000_000
 ) -> tuple[tuple[AffineWeylElement, ...], ...]:
-    """All elements of length <= max_len, grouped by length.
+    """All elements of length <= max_len, grouped by length, by reverse search.
 
-    Breadth-first generator application with canonical-form deduplication;
-    shell k is exactly the set of elements of length k.  Each shell is
-    sorted by canonical reduced word, so the output order is deterministic.
+    One rule: y = x s_i is kept iff i is the smallest right descent of y,
+    which makes i an ascent of x.  Then x is y's canonical parent, the
+    canonical word of y is x's followed by i, and each element is made
+    exactly once (Avis-Fukuda, Discrete Appl. Math. 65, 1996).  Walking
+    shell k in order with i ascending thus leaves shell k + 1 sorted by
+    canonical word.  y's pairs are x's changed as ``reduced_word`` peels i,
+    so a rejected y is never built.
     """
-    ident = identity_element(system)
-    seen = {ident}
-    shells = [(ident,)]
-    frontier = [ident]
-    total = 1
+    rows = system.affine_cartan
+    shells = [(identity_element(system),)]
     for depth in range(1, max_len + 1):
         nxt = []
-        for x in frontier:
-            for i in range(system.rank + 1):
-                y = _mul_gen(x, i)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        total += len(nxt)
-        if total > max_elements:
+        for x in shells[-1]:
+            pairs = _root_pairs(x)
+            for i, (level, height) in enumerate(pairs):
+                first = next((j for j, ((lj, hj), a) in enumerate(zip(pairs, rows[i][:i + 1]))
+                              if (lj - a * level, hj - a * height) < (0, 0)), None)
+                if first == i:
+                    nxt.append(_mul_gen(x, i))
+        if sum(map(len, shells)) + len(nxt) > max_elements:
             raise ResourceBoundError(
                 f"ball enumeration exceeded {max_elements} elements at depth "
                 f"{depth} (completed depth {depth - 1})",
                 attained_depth=depth - 1,
             )
-        shells.append(tuple(sorted(nxt, key=reduced_word)))
-        frontier = nxt
+        shells.append(tuple(nxt))
     return tuple(shells)
 
 
@@ -518,7 +504,6 @@ def antidominant_orbit_rep(system: RootSystem, lam: Vector) -> Vector:
     return tuple(lam)
 
 
-@functools.lru_cache(maxsize=None)
 def coxeter_order(system: RootSystem, i: int, j: int, cutoff: int = 12) -> int | None:
     """Order of generator(i) * generator(j); None when infinite (above cutoff)."""
     prod = generator(system, i) * generator(system, j)

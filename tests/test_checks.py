@@ -32,6 +32,18 @@ def test_reports_are_deterministic_given_seed():
     assert a.failures == b.failures
 
 
+@pytest.mark.parametrize(
+    "lie_type,rank,count", [("A", 1, 4), ("A", 2, 8), ("C", 2, 6), ("G", 2, 3)]
+)
+def test_length_formula_counts_and_bound(lie_type, rank, count):
+    # the suite scans (max_coord + 1)^rank coweights: 4^rank here
+    system = build_root_system(lie_type, rank)
+    report = checks.check_length_formula(system, max_coord=3, max_elements=4**rank)
+    assert report.passed and report.instance_count == count
+    with pytest.raises(weyl.ResourceBoundError):
+        checks.check_length_formula(system, max_coord=3, max_elements=4**rank - 1)
+
+
 def test_report_jsonable_shape():
     report = checks.run_suite("length-formula", A2, 3, 2)
     data = report.to_jsonable()

@@ -242,6 +242,26 @@ def test_check_respects_max_elements(capsys):
     assert code == EXIT_OK and json.loads(out)["failures"] == []
 
 
+def test_length_formula_respects_max_elements(capsys):
+    # 7^8 candidate coweights on E8 at N=6, above the default bound
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "length-formula", "--type", "E", "--rank", "8",
+                         "--max-length", "6")
+    assert code == EXIT_RESOURCE and out == "" and err.startswith("error:")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rank_above_bound_is_a_usage_error(tmp_path, capsys):
+    argv = ("enumerate", "--type", "A", "--max-length", "1", "--cache", str(tmp_path))
+    for rank in (33, 3000):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--rank", str(rank))
+        assert code == EXIT_USAGE and out == "" and "--rank" in err
+        assert time.perf_counter() - t0 < 1.0
+    code, out, _ = run(capsys, *argv, "--rank", "32")
+    assert code == EXIT_OK and [g["count"] for g in json.loads(out)] == [1, 33]
+
+
 # -- graph ------------------------------------------------------------------------
 
 

@@ -200,3 +200,9 @@ def test_json_roundtrip():
     data = rs.to_jsonable()
     assert data == {"type": "C", "rank": 3}
     assert root_system_from_jsonable(data) is rs
+
+
+def test_one_object_per_type_and_rank():
+    rs = build_root_system("C", 3)
+    assert build_root_system(lie_type="C", rank=3) is rs
+    assert build_root_system("C", rank=3.0) is rs

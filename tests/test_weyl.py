@@ -209,6 +209,12 @@ def test_b3_and_c3_share_no_parts():
     assert all(parts[0][m] is not parts[1][m] for m in shared)
 
 
+def test_b3_and_c3_identities_differ():
+    b3, c3 = (identity_element(build_root_system(t, 3)) for t in "BC")
+    assert b3.finite.mat == c3.finite.mat and b3.translation == c3.translation
+    assert b3 != c3
+
+
 def test_equal_elements_share_one_finite_part():
     for system in (A2, C2, build_root_system("G", 2)):
         seen = {}
@@ -234,7 +240,6 @@ def test_is_identity_of_parts_built_outside_the_table():
     assert FinitePart(ident).is_identity()
     s1 = generator(A2, 1).finite
     assert not FinitePart(s1.mat).is_identity()
-    assert FinitePart(s1.mat) == s1
 
 
 # -- length ---------------------------------------------------------------------
@@ -434,6 +439,32 @@ def test_ball_counts():
     assert [len(s) for s in enumerate_ball(A1, 3)] == [1, 2, 2, 2]
     assert [len(s) for s in enumerate_ball(A2, 1)] == [1, 3]
     assert [len(s) for s in enumerate_ball(A2, 0)] == [1]
+
+
+def bfs_ball(system, n):
+    """Plain breadth-first search, deduplicated by a seen set, each shell sorted by word."""
+    shells = [(identity_element(system),)]
+    seen = set(shells[0])
+    for _ in range(n):
+        nxt = []
+        for x in shells[-1]:
+            for s in generators(system):
+                y = x * s
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        shells.append(tuple(sorted(nxt, key=reduced_word)))
+    return tuple(shells)
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,n",
+    [("A", 1, 8), ("A", 2, 10), ("C", 2, 8), ("G", 2, 12), ("A", 3, 6), ("B", 3, 5),
+     ("C", 3, 5), ("D", 4, 4), ("F", 4, 4), ("E", 6, 3), ("E", 8, 4)],
+)
+def test_ball_equals_bfs_shell_by_shell(lie_type, rank, n):
+    system = build_root_system(lie_type, rank)
+    assert enumerate_ball(system, n) == bfs_ball(system, n)
 
 
 def test_ball_elements_unique():

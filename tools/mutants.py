@@ -100,6 +100,14 @@ MUTANTS = {
     "rank-one-column-sign-for-j0": [
         (WEYL, "col = [-c for c in shift] if j == 0", "col = list(shift) if j == 0", 1),
     ],
+    # ball enumeration and element identity
+    "ball-keeps-largest-descent-parent": [
+        (WEYL, "enumerate(zip(pairs, rows[i][:i + 1]))",
+         "reversed(list(enumerate(zip(pairs, rows[i])))[i:])", 1),
+    ],
+    "element-equality-compares-matrices": [
+        (WEYL, "and self.finite is other.finite", "and self.finite.mat == other.finite.mat", 1),
+    ],
     # descents, length and reduced words
     "descent-index-unchecked": [
         (WEYL, "    if not 0 <= i <= x.system.rank:\n"
