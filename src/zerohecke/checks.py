@@ -116,6 +116,14 @@ def _random_vector(system, ring, pool, rng: random.Random, max_terms=3):
     return kmodule.SchubertVector(system, ring, terms)
 
 
+def _bound_box(name: str, system: RootSystem, max_coord: int, max_elements: int):
+    """Refuse to scan the (max_coord + 1)^rank box of coweights above ``max_elements``."""
+    side = max_coord + 1
+    if side ** system.rank > max_elements:
+        raise weyl.ResourceBoundError(
+            f"{name} would scan {side}^{system.rank} coweights, more than {max_elements}")
+
+
 # -- suites ----------------------------------------------------------------
 
 
@@ -124,10 +132,7 @@ def check_length_formula(system: RootSystem, max_coord: int = 3,
                          max_elements: int = 1_000_000) -> CheckReport:
     """Translation length equals the pairing against the positive-root sum,
     over the (max_coord + 1)^rank coweights of a box, at most ``max_elements``."""
-    side = max_coord + 1
-    if side ** system.rank > max_elements:
-        raise weyl.ResourceBoundError(
-            f"length-formula would scan {side}^{system.rank} coweights, more than {max_elements}")
+    _bound_box("length-formula", system, max_coord, max_elements)
     report = CheckReport("length-formula")
     for lam in system.dominant_coweights(max_coord):
         report.count()
@@ -343,8 +348,11 @@ def check_theta(
     max_coord: int = 2,
     n_random: int = 50,
     rng: random.Random | None = None,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
-    """The dominant-monoid embedding is multiplicative on translations."""
+    """The dominant-monoid embedding is multiplicative on translations,
+    over the (max_coord + 1)^rank box of coweights, at most ``max_elements``."""
+    _bound_box("theta", system, max_coord, max_elements)
     rng = rng or random.Random(0)
     report = CheckReport("theta")
     ring = PrimeField(p)
@@ -375,8 +383,12 @@ def check_spherical(
     p: int,
     max_coord: int = 4,
     pair_coord: int = 2,
+    max_elements: int = 1_000_000,
 ) -> CheckReport:
-    """The pulled-back submodule is free of rank one over the dominant monoid."""
+    """The pulled-back submodule is free of rank one over the dominant monoid,
+    over the (max(max_coord, pair_coord) + 1)^rank box of coweights, at most
+    ``max_elements``."""
+    _bound_box("spherical", system, max(max_coord, pair_coord), max_elements)
     report = CheckReport("spherical")
     ring = torus_ring(system, p)
     w0 = weyl.longest_finite_element(system)
@@ -509,7 +521,8 @@ def run_suite(
     max_elements: int = 1_000_000,
 ) -> CheckReport:
     """Run one named suite at a scale driven by the configured truncation;
-    every ball a suite reads is enumerated under ``max_elements``."""
+    every ball a suite reads is enumerated under ``max_elements``, and every
+    box of coweights it scans has at most that many points."""
     rng = random.Random(seed)
     n, bound = max_length, max_elements
     if name == "braid":
@@ -524,9 +537,9 @@ def run_suite(
         return check_xi(system, p, exhaustive_bound=min(n, 4), n_random=200, rng=rng,
                         max_elements=bound)
     if name == "theta":
-        return check_theta(system, p, max_coord=min(n, 3), rng=rng)
+        return check_theta(system, p, max_coord=min(n, 3), rng=rng, max_elements=bound)
     if name == "spherical":
-        return check_spherical(system, p, max_coord=min(n, 4))
+        return check_spherical(system, p, max_coord=min(n, 4), max_elements=bound)
     if name == "specialize":
         return check_specialize(system, p, n_instances=200, key_bound=min(n, 4), rng=rng,
                                 max_elements=bound)

@@ -92,39 +92,48 @@ def demazure_letters_apply(v: SchubertVector, letters) -> SchubertVector:
         if not 0 <= i <= v.system.rank:
             raise ValueError(f"operator index {i} out of range 0..{v.system.rank}")
     out = v._like({})
-    for w, c in v.terms.items():
-        for i in letters:
-            w = demazure_basis_target(w, i)
+    for w, c in _walk(v.terms, letters):
         out.add_term(w, c)
     return out
+
+
+def _walk(terms: dict, letters):
+    """Send each class through the letters: its (target, coefficient) pairs.
+
+    The one reading of the Demazure rule, live at every letter.
+    """
+    for w, c in terms.items():
+        for i in letters:
+            w = demazure_basis_target(w, i)
+        yield w, c
 
 
 # -- the right Hecke action -------------------------------------------------
 
 
-def _coerce_action_coeff(v_ring: Ring, h_ring: Ring, c):
-    if v_ring == h_ring:
-        return c
-    if isinstance(v_ring, TorusRing) and isinstance(h_ring, PrimeField):
-        return v_ring.lift_field(c)
-    raise ValueError(
-        f"cannot act with coefficients in {h_ring!r} on a module over {v_ring!r}"
-    )
-
-
 def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
-    """The right action ``v . h``: each basis term of h acts by its operator.
+    """The right action ``v . h``: each basis term (x, c) of h walks v along
+    the canonical word of x and adds the walked classes scaled by c.
 
-    Scalars act through the module's own ring; GF(p) coefficients on h are
-    lifted to constants when the module is over the torus ring.
+    Scalars act through the module's own ring.  A GF(p) algebra acts on a
+    torus-ring module residue-wise, with no constant to convolve:
+
+    >>> rs, t3, f3 = weyl.build_root_system("A", 1), TorusRing(3, 2), PrimeField(3)
+    >>> v = basis_class(weyl.identity_element(rs), t3).scale(t3.monomial((1, -1)))
+    >>> hecke_act(v, basis_y(weyl.generator(rs, 0), f3).scale(f3.from_int(2)))
+    (2*x^[1, -1])*[S(0,)]
     """
-    if v.system != h.system:
+    if v.system is not h.system:
         raise ValueError("module and algebra over different root systems")
-    out = module_zero(v.system, v.ring)
+    by_residue = v.ring != h.ring
+    if by_residue and not (isinstance(v.ring, TorusRing) and h.ring == v.ring.field):
+        raise ValueError(
+            f"cannot act with coefficients in {h.ring!r} on a module over {v.ring!r}"
+        )
+    out = v._like({})
     for x, c in h.terms.items():
-        c = _coerce_action_coeff(v.ring, h.ring, c)
-        for w, d in demazure_word_apply(v, x).terms.items():
-            out.add_term(w, d * c)
+        for w, d in _walk(v.terms, weyl.reduced_word(x)):
+            out.add_term(w, d.scale(c.residue) if by_residue else d * c)
     return out
 
 
@@ -213,14 +222,16 @@ def spherical_act(lam: Vector, v: SchubertVector) -> SchubertVector:
 def specialize(v: SchubertVector) -> SchubertVector:
     """Specialize every coefficient at the identity of the torus.
 
-    Returns a vector over GF(p); terms whose coefficient sums to zero mod p
-    are dropped.  Specialization commutes with the whole right action since
+    Returns a vector over GF(p), filled in one pass over v's classes, which
+    are already valid keys; terms whose coefficient sums to zero mod p are
+    dropped.  Specialization commutes with the whole right action since
     the operators never touch coefficients.
     """
     if isinstance(v.ring, PrimeField):
         return v
-    terms = {w: specialize_at_identity(c) for w, c in v.terms.items()}
-    return SchubertVector(v.system, v.ring.field, terms)
+    out = module_zero(v.system, v.ring.field)
+    out.terms = {w: s for w, c in v.terms.items() if (s := specialize_at_identity(c))}
+    return out
 
 
 # -- serialization --------------------------------------------------------------

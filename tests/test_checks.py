@@ -44,6 +44,28 @@ def test_length_formula_counts_and_bound(lie_type, rank, count):
         checks.check_length_formula(system, max_coord=3, max_elements=4**rank - 1)
 
 
+
+@pytest.mark.parametrize(
+    "lie_type,rank,theta,spherical",
+    [("A", 1, 59, 24), ("A", 2, 75, 64), ("C", 2, 66, 42), ("G", 2, 54, 13)],
+)
+def test_theta_and_spherical_counts_and_bound(lie_type, rank, theta, spherical):
+    # theta scans the (max_coord + 1)^rank box of coweights, 3^rank at its
+    # default; spherical the (max(max_coord, pair_coord) + 1)^rank box, 5^rank
+    system = build_root_system(lie_type, rank)
+    report = checks.check_theta(system, 3, max_elements=3**rank)
+    assert report.passed and report.instance_count == theta
+    with pytest.raises(weyl.ResourceBoundError):
+        checks.check_theta(system, 3, max_elements=3**rank - 1)
+    report = checks.check_spherical(system, 3, max_elements=5**rank)
+    assert report.passed and report.instance_count == spherical
+    with pytest.raises(weyl.ResourceBoundError):
+        checks.check_spherical(system, 3, max_elements=5**rank - 1)
+    # the pair box bounds the suite when it is the larger one
+    assert checks.check_spherical(system, 3, max_coord=1, max_elements=3**rank).passed
+    with pytest.raises(weyl.ResourceBoundError):
+        checks.check_spherical(system, 3, max_coord=1, max_elements=3**rank - 1)
+
 def test_report_jsonable_shape():
     report = checks.run_suite("length-formula", A2, 3, 2)
     data = report.to_jsonable()

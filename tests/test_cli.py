@@ -251,6 +251,16 @@ def test_length_formula_respects_max_elements(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+
+def test_coweight_suites_respect_max_elements(capsys):
+    # theta scans 4^8 and spherical 5^8 candidate coweights on E8 at N=4
+    for name in ("theta", "spherical"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", name, "--type", "E", "--rank", "8",
+                             "--max-length", "4", "--max-elements", "10")
+        assert code == EXIT_RESOURCE and out == "" and err.startswith("error:")
+        assert time.perf_counter() - t0 < 1.0
+
 def test_rank_above_bound_is_a_usage_error(tmp_path, capsys):
     argv = ("enumerate", "--type", "A", "--max-length", "1", "--cache", str(tmp_path))
     for rank in (33, 3000):

@@ -258,6 +258,42 @@ def test_action_lifts_prime_field_coefficients():
     assert hecke_act(v, h) == basis_class(weyl.generator(A2, 0), T3_A2)
 
 
+
+def _lift_coefficients(h, ring):
+    """h over the torus ring, its GF(p) coefficients lifted to constants."""
+    return HeckeElement(h.system, ring, {x: ring.lift_field(c) for x, c in h.terms.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+@pytest.mark.parametrize("system", [A1, A2, C2, G2], ids=["A1", "A2", "C2", "G2"])
+def test_prime_field_action_matches_lifted_torus_action(system, p):
+    # the residue-wise GF(p) path against torus x torus convolution by constants
+    ring, field = torus_ring(system, p), PrimeField(p)
+    rng = random.Random(p + system.rank)
+    ball = flat_ball(system, 3)
+    for _ in range(40):
+        v = SchubertVector(system, ring, {
+            rng.choice(ball): ring.monomial([rng.randrange(-2, 3) for _ in range(ring.nvars)],
+                                            rng.randrange(1, p))
+            for _ in range(rng.randrange(1, 4))})
+        h = HeckeElement(system, field, {rng.choice(ball): field.from_int(rng.randrange(1, p))
+                                         for _ in range(rng.randrange(1, 4))})
+        assert hecke_act(v, h) == hecke_act(v, _lift_coefficients(h, ring))
+
+
+def test_prime_field_action_cancels_colliding_classes_mod_2():
+    ring, field = torus_ring(A2, 2), PrimeField(2)
+    x, s0 = weyl.from_word(A2, [1, 2]), weyl.generator(A2, 0)
+    c = ring.monomial((1, 0, -1))
+    # x and x s_0 both land on x s_0 under D_0, and 2c = 0 mod 2
+    v = SchubertVector(A2, ring, {x: c, weyl._mul_gen(x, 0): c})
+    h = basis_y(s0, field)
+    assert not hecke_act(v, h) and not hecke_act(v, _lift_coefficients(h, ring))
+    # Y_e + Y_{s_0} sends [x s_0] to itself twice
+    h = HeckeElement(A2, field, {weyl.identity_element(A2): field.one(), s0: field.one()})
+    v = SchubertVector(A2, ring, {weyl._mul_gen(x, 0): c})
+    assert not hecke_act(v, h) and not hecke_act(v, _lift_coefficients(h, ring))
+
 # -- the module relabeling -----------------------------------------------------------
 
 

@@ -47,17 +47,29 @@ MUTANTS = {
          '"lhs": table.word(got), "rhs": table.word(target)}', 1),
     ],
     "rule-bound-at-import": [
-        (KMODULE, "def demazure_letters_apply(v: SchubertVector, letters)",
-         "def demazure_letters_apply(v: SchubertVector, letters, rule=demazure_basis_target)", 1),
-        (KMODULE, "w = demazure_basis_target(w, i)\n        out.add_term",
-         "w = rule(w, i)\n        out.add_term", 1),
+        (KMODULE, "def _walk(terms: dict, letters):",
+         "def _walk(terms: dict, letters, rule=demazure_basis_target):", 1),
+        (KMODULE, "w = demazure_basis_target(w, i)\n        yield",
+         "w = rule(w, i)\n        yield", 1),
     ],
     "letters-validated-first-only": [
         (KMODULE, "for i in letters:\n        if not 0 <= i",
          "for i in letters[:1]:\n        if not 0 <= i", 1),
     ],
+    # the right Hecke action and specialization
+    "hecke-act-drops-scalar": [
+        (KMODULE, "d.scale(c.residue) if by_residue", "d if by_residue", 1),
+    ],
+    "specialize-keeps-zero-sums": [
+        (KMODULE, "{w: s for w, c in v.terms.items() if (s := specialize_at_identity(c))}",
+         "{w: specialize_at_identity(c) for w, c in v.terms.items()}", 1),
+    ],
     "check-ignores-max-elements": [
         (CLI, "args.seed, args.max_elements)", "args.seed)", 1),
+    ],
+    "spherical-bound-ignores-pair-box": [
+        (CHECKS, '"spherical", system, max(max_coord, pair_coord)',
+         '"spherical", system, max_coord', 1),
     ],
     "suite-ball-ignores-max-elements": [
         (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 1),
