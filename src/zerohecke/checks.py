@@ -266,11 +266,14 @@ def check_compose(
                              "lhs": table.word(twice), "rhs": table.word(once)})
 
     pool = _flat_ball(system, pair_bound, max_elements)
+    # l(uv) <= l(u) + l(v) <= pair_bound, so uv is a pool element, whose
+    # length and word the ball walk has already set
+    pooled = {x: x for x in pool}
     pairs = []
     for u in pool:
         for v in pool:
             if 0 < weyl.length(u) + weyl.length(v) <= pair_bound:
-                uv = u * v
+                uv = pooled[u * v]
                 if weyl.length(uv) == weyl.length(u) + weyl.length(v):
                     pairs.append((u, v, uv))
     for u, v, uv in pairs:

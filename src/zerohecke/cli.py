@@ -145,9 +145,9 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
     if path.exists():
         try:
             data = json.loads(path.read_text())
-            stored_hash = data.pop("hash", None)
             if (
-                stored_hash == _digest(data)
+                isinstance(data, dict)
+                and data.pop("hash", None) == _digest(data)
                 and data.get("version") == CACHE_VERSION
                 and data.get("type") == system.lie_type
                 and data.get("rank") == system.rank

@@ -205,10 +205,13 @@ class SparseElement:
         return self + (-other)
 
     def scale(self, c):
-        out = self._like({})
-        for key, v in self.terms.items():
-            out.add_term(key, v * c)
-        return out
+        """Every coefficient times c, in one pass: each coefficient ring here
+        is an integral domain, so a nonzero c makes no term vanish."""
+        reduce = self._reduce
+        c = reduce(c)
+        if not c:
+            return self._like({})
+        return self._like({key: reduce(v * c) for key, v in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)

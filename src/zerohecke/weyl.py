@@ -82,16 +82,18 @@ class FinitePart:
 
     Parts are interned per root system, so one element of W0 is one
     object, and parts compare by identity.  A part holds one
-    :class:`_Step` per generator, made from its parent's, and memoizes its
-    products with other parts.
+    :class:`_Step` per generator, made from its parent's, memoizes its
+    products with other parts, and keeps its canonical word once
+    :func:`_part_word` has read it.
     """
 
-    __slots__ = ("mat", "_products", "_steps")
+    __slots__ = ("mat", "_products", "_steps", "_word")
 
     def __init__(self, mat: Matrix, steps: list[_Step] | None = None):
         self.mat = mat
         self._products: dict[FinitePart, FinitePart] = {}
         self._steps = steps
+        self._word: tuple[int, ...] | None = None
 
     def __repr__(self):
         return f"FinitePart({self.mat})"
@@ -146,19 +148,25 @@ def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
     return step.product
 
 
-def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
-    """The part uv: u's product memo, else u walked along v's canonical word.
+def _part_word(system: RootSystem, u: FinitePart) -> tuple[int, ...]:
+    """The canonical word of u, set on first use.
 
-    With j the smallest right descent of v (v(alpha_j) < 0), v's word is
-    that of v s_j followed by j, so uv = (u (v s_j)) s_j.
+    With j the smallest right descent of u (u(alpha_j) < 0), it is the word
+    of the canonical parent u s_j followed by j; the identity's is empty.
     """
+    if u._word is None:
+        j = next((j for j, step in enumerate(u._steps) if j and step.height < 0), 0)
+        u._word = _part_word(system, _times_generator(system, u, j)) + (j,) if j else ()
+    return u._word
+
+
+def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
+    """The part uv: u's product memo, else u walked along v's canonical word."""
     uv = u._products.get(v)
     if uv is None:
-        j = next((j for j, step in enumerate(v._steps) if j and step.height < 0), 0)
-        if j:
-            uv = _times_generator(system, _product(system, u, _times_generator(system, v, j)), j)
-        else:  # v is the identity
-            uv = u
+        uv = u
+        for j in _part_word(system, v):
+            uv = _times_generator(system, uv, j)
         u._products[v] = uv
     return uv
 
@@ -168,10 +176,11 @@ class AffineWeylElement:
 
     Immutable.  Two elements are equal iff they hold the same part object,
     which fixes the root system, and equal translations: exactly when they
-    are the same group element.
+    are the same group element.  Its hash, length and canonical word are
+    kept in slots once known.
     """
 
-    __slots__ = ("system", "translation", "finite", "_hash", "_length")
+    __slots__ = ("system", "translation", "finite", "_hash", "_length", "_word")
 
     def __init__(self, system: RootSystem, translation: Vector, finite: FinitePart):
         self.system = system
@@ -179,6 +188,7 @@ class AffineWeylElement:
         self.finite = finite
         self._hash = None
         self._length = None
+        self._word = None
 
     def __eq__(self, other):
         return self is other or (
@@ -214,8 +224,8 @@ class AffineWeylElement:
 
     def inverse(self) -> AffineWeylElement:
         """t^(-u^-1(lam)) u^-1, with u^-1 walked along u's word reversed."""
-        system, u, inv = self.system, self.finite, identity_element(self.system).finite
-        for j in reversed(reduced_word(AffineWeylElement(system, (0,) * system.rank, u))):
+        system, inv = self.system, identity_element(self.system).finite
+        for j in reversed(_part_word(system, self.finite)):
             inv = _times_generator(system, inv, j)
         trans = tuple(-c for c in _matvec(inv.mat, self.translation))
         return AffineWeylElement(system, trans, inv)
@@ -226,7 +236,7 @@ class AffineWeylElement:
 
 @functools.lru_cache(maxsize=None)
 def identity_element(system: RootSystem) -> AffineWeylElement:
-    """The identity; its part seeds the system's table."""
+    """The identity, with its length and word; its part seeds the system's table."""
     n, affine = system.rank, system.affine_cartan
     mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     table = _FINITE_PARTS.setdefault(system, {})
@@ -234,7 +244,9 @@ def identity_element(system: RootSystem) -> AffineWeylElement:
         steps = [_Step(tuple(row[i] for row in affine[1:]), 1, None) for i in range(n + 1)]
         steps[0].height, steps[0].shift = -sum(system.highest_root), system.highest_coroot
         table[mat] = FinitePart(mat, steps)
-    return AffineWeylElement(system, (0,) * n, table[mat])
+    e = AffineWeylElement(system, (0,) * n, table[mat])
+    e._length, e._word = 0, ()
+    return e
 
 
 def generator(system: RootSystem, i: int) -> AffineWeylElement:
@@ -335,17 +347,19 @@ def _root_pairs(x: AffineWeylElement) -> list[tuple[int, int]]:
             for i, step in enumerate(x.finite._steps)]
 
 
-@functools.lru_cache(maxsize=None)
 def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     """The canonical reduced word: peel the smallest right descent, length(x) times.
 
     Peeling i sends pair k to pair_k - affine_cartan[i][k] * pair_i; a
-    descent must exist at every step and none may be left at the end.
+    descent must exist at every step and none may be left at the end.  The
+    word is kept on x.
 
     >>> rs = build_root_system("A", 1)
     >>> reduced_word(translation_element(rs, (1,)))
     (0, 1)
     """
+    if x._word is not None:
+        return x._word
     letters, pairs = [], _root_pairs(x)
     rows = [[(k, a) for k, a in enumerate(row) if a] for row in x.system.affine_cartan]
     for _ in range(length(x)):
@@ -360,7 +374,8 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
             pairs[k] = (pairs[k][0] - a * level, pairs[k][1] - a * height)
     else:
         if not any(pair < (0, 0) for pair in pairs):
-            return tuple(reversed(letters))
+            x._word = tuple(reversed(letters))
+            return x._word
     raise AssertionError(f"broken descent walk for t{x.translation} {x.finite!r}")
 
 
@@ -427,7 +442,8 @@ def enumerate_ball(
     exactly once (Avis-Fukuda, Discrete Appl. Math. 65, 1996).  Walking
     shell k in order with i ascending thus leaves shell k + 1 sorted by
     canonical word.  y's pairs are x's changed as ``reduced_word`` peels i,
-    so a rejected y is never built.
+    so a rejected y is never built, and each kept y carries its word and
+    its length, the depth.
     """
     rows = system.affine_cartan
     shells = [(identity_element(system),)]
@@ -439,7 +455,9 @@ def enumerate_ball(
                 first = next((j for j, ((lj, hj), a) in enumerate(zip(pairs, rows[i][:i + 1]))
                               if (lj - a * level, hj - a * height) < (0, 0)), None)
                 if first == i:
-                    nxt.append(_mul_gen(x, i))
+                    y = _mul_gen(x, i)
+                    y._word, y._length = x._word + (i,), depth
+                    nxt.append(y)
         if sum(map(len, shells)) + len(nxt) > max_elements:
             raise ResourceBoundError(
                 f"ball enumeration exceeded {max_elements} elements at depth "
@@ -520,10 +538,9 @@ def coxeter_order(system: RootSystem, i: int, j: int, cutoff: int = 12) -> int |
 
 def element_to_jsonable(x: AffineWeylElement) -> dict:
     """Element as translation coordinates plus the finite part's word."""
-    finite_only = AffineWeylElement(x.system, (0,) * x.system.rank, x.finite)
     return {
         "lambda": list(x.translation),
-        "word": list(reduced_word(finite_only)),
+        "word": list(_part_word(x.system, x.finite)),
     }
 
 

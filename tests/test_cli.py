@@ -5,6 +5,8 @@ import json
 import re
 import time
 
+import pytest
+
 from zerohecke import cli, kmodule, weyl
 from zerohecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
 
@@ -60,6 +62,20 @@ def test_enumerate_corrupt_cache_regenerates(tmp_path, capsys):
     assert code == EXIT_OK
     assert out2 == out1
     # and the file was healed
+    data = json.loads(cache_file.read_text())
+    assert data["maxlen"] == 2 and "hash" in data
+
+
+@pytest.mark.parametrize("junk", ["[]", "null", "42", '"text"'])
+def test_enumerate_non_object_cache_regenerates(tmp_path, capsys, junk):
+    argv = ("enumerate", "--type", "A", "--rank", "2", "--max-length", "2",
+            "--cache", str(tmp_path))
+    _, out1, _ = run(capsys, *argv)
+    (cache_file,) = tmp_path.glob("ball-A2-N2.json")
+    cache_file.write_text(junk)  # valid JSON, but not an object
+    code, out2, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out2 == out1
     data = json.loads(cache_file.read_text())
     assert data["maxlen"] == 2 and "hash" in data
 

@@ -8,7 +8,7 @@ unhashable.
 import pytest
 
 from zerohecke import hecke, kmodule, weyl
-from zerohecke.coeffs import PrimeField, TorusRing, monoid_monomial, monoid_unit
+from zerohecke.coeffs import FieldElement, PrimeField, TorusRing, monoid_monomial, monoid_unit
 from zerohecke.rootdata import build_root_system
 
 A2 = build_root_system("A", 2)
@@ -102,3 +102,13 @@ def test_sparse_surface(name):
     with pytest.raises(TypeError):
         hash(value)
 
+
+
+def test_scale_prunes_only_a_zero_scalar():
+    a, _, _ = _group_ring()
+    assert not a.scale(3)
+    assert a.scale(4) == a
+    v, _, _ = _schubert()
+    assert not v.scale(T3.zero())
+    h, _, _ = _hecke()
+    assert not h.scale(FieldElement(3, 0))

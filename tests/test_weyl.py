@@ -464,7 +464,20 @@ def bfs_ball(system, n):
 )
 def test_ball_equals_bfs_shell_by_shell(lie_type, rank, n):
     system = build_root_system(lie_type, rank)
-    assert enumerate_ball(system, n) == bfs_ball(system, n)
+    ball = enumerate_ball(system, n)
+    assert ball == bfs_ball(system, n)
+    # the words and lengths the walk stores agree with a fresh equal
+    # element's peel and closed form, and each part's word with a fresh
+    # peel of the finite-only element
+    parts = set()
+    for x in itertools.chain.from_iterable(ball):
+        fresh = AffineWeylElement(system, x.translation, x.finite)
+        assert (reduced_word(fresh), length(fresh)) == (x._word, x._length), x
+        assert from_word(system, reduced_word(x)) == x
+        parts.add(x.finite)
+    for part in parts:
+        finite_only = AffineWeylElement(system, (0,) * rank, part)
+        assert weyl._part_word(system, part) == reduced_word(finite_only), part
 
 
 def test_ball_elements_unique():

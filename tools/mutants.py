@@ -80,16 +80,20 @@ MUTANTS = {
         (WEYL, "table = _FINITE_PARTS[system]\n", "table = _FINITE_PARTS[system.rank]\n", 1),
     ],
     "product-drops-a-letter": [
-        (WEYL, "uv = _times_generator(system, _product(system, u, _times_generator(system, v, j)), j)",
-         "uv = _product(system, u, _times_generator(system, v, j))", 1),
+        (WEYL, "for j in _part_word(system, v):", "for j in _part_word(system, v)[1:]:", 1),
     ],
     "inverse-bypasses-the-table": [
         (WEYL, "return AffineWeylElement(system, trans, inv)",
          "return AffineWeylElement(system, trans, FinitePart(inv.mat, inv._steps))", 1),
     ],
     "inverse-drops-a-letter": [
-        (WEYL, "rank, u))):\n            inv = _times_generator",
-         "rank, u))[1:]):\n            inv = _times_generator", 1),
+        (WEYL, "reversed(_part_word(system, self.finite))",
+         "reversed(_part_word(system, self.finite)[1:])", 1),
+    ],
+    "part-word-peels-largest-descent": [
+        (WEYL, "j = next((j for j, step in enumerate(u._steps) if j and step.height < 0), 0)",
+         "j = next((j for j, step in reversed(list(enumerate(u._steps)))"
+         " if j and step.height < 0), 0)", 1),
     ],
     # step records and the rank-one update
     "identity-records-untransposed": [
@@ -116,6 +120,12 @@ MUTANTS = {
     "ball-keeps-largest-descent-parent": [
         (WEYL, "enumerate(zip(pairs, rows[i][:i + 1]))",
          "reversed(list(enumerate(zip(pairs, rows[i])))[i:])", 1),
+    ],
+    "ball-seeds-length-one-short": [
+        (WEYL, "x._word + (i,), depth\n", "x._word + (i,), depth - 1\n", 1),
+    ],
+    "ball-seeds-word-reversed": [
+        (WEYL, "y._word, y._length = x._word + (i,)", "y._word, y._length = (i,) + x._word", 1),
     ],
     "element-equality-compares-matrices": [
         (WEYL, "and self.finite is other.finite", "and self.finite.mat == other.finite.mat", 1),
