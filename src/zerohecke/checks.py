@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import hecke, kmodule, weyl
-from .coeffs import PrimeField, monoid_monomial, torus_ring
+from .coeffs import GroupRingElement, PrimeField, monoid_monomial, torus_ring
 from .rootdata import RootSystem
 
 
@@ -104,16 +104,20 @@ def _wordstr(x) -> list:
     return list(weyl.reduced_word(x))
 
 
-def _random_coeff(ring, rng: random.Random):
-    exps = tuple(rng.randrange(-2, 3) for _ in range(ring.nvars))
-    return ring.monomial(exps, rng.randrange(1, ring.p))
+def _random_terms(ring, pool, rng: random.Random, max_terms=3) -> dict:
+    """1..max_terms pool keys, each with a monomial of the torus ring and a
+    nonzero coefficient: canonical by construction, so never validated."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exps = tuple([rng.randrange(-2, 3) for _ in range(ring.nvars)])
+        terms[rng.choice(pool)] = GroupRingElement._from_canonical(
+            ring.p, ring.nvars, {exps: rng.randrange(1, ring.p)})
+    return terms
 
 
 def _random_vector(system, ring, pool, rng: random.Random, max_terms=3):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        terms[rng.choice(pool)] = _random_coeff(ring, rng)
-    return kmodule.SchubertVector(system, ring, terms)
+    return kmodule.SchubertVector._from_canonical(
+        system, ring, _random_terms(ring, pool, rng, max_terms))
 
 
 def _bound_box(name: str, system: RootSystem, max_coord: int, max_elements: int):
@@ -313,12 +317,11 @@ def check_xi(
     report = CheckReport("xi")
     ring = torus_ring(system, p)
     ball = _flat_ball(system, exhaustive_bound, max_elements)
-    for u in ball:
-        yu = hecke.basis_y(u, ring)
+    basis = [(u, hecke.basis_y(u, ring)) for u in ball]
+    for u, yu in basis:
         xi_yu = kmodule.schubert_from_hecke(yu)
-        for v in ball:
+        for v, yv in basis:
             report.count()
-            yv = hecke.basis_y(v, ring)
             lhs = kmodule.schubert_from_hecke(hecke.multiply_hecke(yu, yv))
             rhs = kmodule.hecke_act(xi_yu, yv)
             if lhs != rhs:
@@ -327,10 +330,7 @@ def check_xi(
                              "rhs": kmodule.schubert_to_jsonable(rhs)})
 
     def random_hecke():
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            terms[rng.choice(ball)] = _random_coeff(ring, rng)
-        return hecke.HeckeElement(system, ring, terms)
+        return hecke.HeckeElement._from_canonical(system, ring, _random_terms(ring, ball, rng))
 
     for _ in range(n_random):
         report.count()
@@ -465,7 +465,7 @@ def check_specialize(
         terms = {}
         for _ in range(rng.randrange(1, 3)):
             terms[rng.choice(ops)] = field.from_int(rng.randrange(1, p))
-        h = hecke.HeckeElement(system, field, terms)
+        h = hecke.HeckeElement._from_canonical(system, field, terms)
         lhs = kmodule.specialize(kmodule.hecke_act(v, h))
         rhs = kmodule.hecke_act(kmodule.specialize(v), h)
         if lhs != rhs:

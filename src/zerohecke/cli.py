@@ -152,6 +152,8 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
                 and data.get("type") == system.lie_type
                 and data.get("rank") == system.rank
                 and data.get("maxlen") == n
+                and isinstance(data.get("elements"), list)
+                and all(isinstance(shell, list) for shell in data["elements"])
             ):
                 total = sum(len(shell) for shell in data["elements"])
                 if total > max_elements:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping
 
 from .rootdata import RootSystem, Vector
@@ -160,14 +161,19 @@ class SparseElement:
         a, b = self._params
         return getattr(self, a), getattr(self, b)
 
-    def _like(self, terms: dict):
-        """A value with self's parameters and the given canonical terms."""
-        out = object.__new__(type(self))
-        a, b = self._params
-        setattr(out, a, getattr(self, a))
-        setattr(out, b, getattr(self, b))
+    @classmethod
+    def _from_canonical(cls, first, second, terms: dict):
+        """A value from canonical terms, which are not validated again."""
+        out = object.__new__(cls)
+        a, b = cls._params
+        setattr(out, a, first)
+        setattr(out, b, second)
         out.terms = terms
         return out
+
+    def _like(self, terms: dict):
+        """A value with self's parameters and the given canonical terms."""
+        return self._from_canonical(*self._param_values(), terms)
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -247,17 +253,31 @@ class _ModPRing(SparseElement):
 
     def __mul__(self, other):
         self._check(other)
-        p = self.p
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                v = (terms.get(key, 0) + c1 * c2) % p
-                if v:
-                    terms[key] = v
-                elif key in terms:
-                    del terms[key]
-        return self._like(terms)
+        return self._like(_reduced(add_raw(None, self, other), self.p))
+
+
+def add_raw(raw, c, s):
+    """raw + c*s unreduced, as no coefficient object: an int for a GF(p) c,
+    else an exponent -> int dict written in place (raw None starts a sum).
+    s is a GF(p) scalar or an element of c's ring; the rings' ``wrap`` reduces."""
+    if type(c) is FieldElement:
+        return (raw or 0) + c.residue * s.residue
+    if raw is None:
+        raw = {}
+    if type(s) is FieldElement:
+        r = s.residue
+        for exp, e in c.terms.items():
+            raw[exp] = raw.get(exp, 0) + e * r
+        return raw
+    for k1, c1 in c.terms.items():
+        for k2, c2 in s.terms.items():
+            key = tuple(map(add, k1, k2))
+            raw[key] = raw.get(key, 0) + c1 * c2
+    return raw
+
+
+def _reduced(raw: dict, p: int) -> dict:
+    return {key: r for key, e in raw.items() if (r := e % p)}
 
 
 # -- the torus group ring --------------------------------------------------
@@ -323,6 +343,11 @@ class PrimeField:
     def coeff_from_jsonable(self, data) -> FieldElement:
         return FieldElement(self.p, int(data))
 
+    def wrap(self, acc: dict) -> dict:
+        """Canonical terms from raw sums per key (see :func:`add_raw`)."""
+        p = self.p
+        return {key: FieldElement(p, r) for key, raw in acc.items() if (r := raw % p)}
+
 
 @dataclass(frozen=True)
 class TorusRing:
@@ -352,6 +377,12 @@ class TorusRing:
         return GroupRingElement(
             self.p, self.nvars, {tuple(t["exp"]): t["coeff"] for t in data}
         )
+
+    def wrap(self, acc: dict) -> dict:
+        """Canonical terms from raw sums per key (see :func:`add_raw`)."""
+        p, n = self.p, self.nvars
+        return {key: GroupRingElement._from_canonical(p, n, t)
+                for key, raw in acc.items() if (t := _reduced(raw, p))}
 
     def lift_field(self, c: FieldElement) -> GroupRingElement:
         if c.p != self.p:

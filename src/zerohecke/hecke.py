@@ -19,7 +19,7 @@ ring is carried explicitly so that the zero element knows its parameters.
 from __future__ import annotations
 
 from . import weyl
-from .coeffs import DominantMonoidElement, PrimeField, SparseElement, TorusRing
+from .coeffs import DominantMonoidElement, PrimeField, SparseElement, TorusRing, add_raw
 from .rootdata import RootSystem
 from .weyl import AffineWeylElement
 
@@ -93,15 +93,16 @@ def demazure_product(w: AffineWeylElement, x: AffineWeylElement) -> AffineWeylEl
 def multiply_hecke(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear extension of the Y-basis product.
 
-    Colliding targets add in the coefficient ring, which can cancel mod p;
-    the canonical sparse form prunes them.
+    Colliding targets add into one raw sum (:func:`coeffs.add_raw`), which
+    can cancel mod p; the ring's ``wrap`` prunes it once at the end.
     """
     a._check(b)
-    out = a._like({})
+    acc = {}
     for w, cw in a.terms.items():
         for x, cx in b.terms.items():
-            out.add_term(demazure_product(w, x), cw * cx)
-    return out
+            key = demazure_product(w, x)
+            acc[key] = add_raw(acc.get(key), cw, cx)
+    return a._like(a.ring.wrap(acc))
 
 
 def embed_dominant(m: DominantMonoidElement) -> HeckeElement:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 
 from . import hecke, weyl
-from .coeffs import PrimeField, SparseElement, TorusRing, specialize_at_identity
+from .coeffs import PrimeField, SparseElement, TorusRing, add_raw, specialize_at_identity
 from .hecke import HeckeElement, Ring, basis_y
 from .rootdata import RootSystem, Vector
 from .weyl import AffineWeylElement
@@ -113,7 +113,8 @@ def _walk(terms: dict, letters):
 
 def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
     """The right action ``v . h``: each basis term (x, c) of h walks v along
-    the canonical word of x and adds the walked classes scaled by c.
+    the canonical word of x, adding each walked coefficient times c into one
+    raw sum per class (:func:`coeffs.add_raw`), wrapped once at the end.
 
     Scalars act through the module's own ring.  A GF(p) algebra acts on a
     torus-ring module residue-wise, with no constant to convolve:
@@ -125,29 +126,28 @@ def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
     """
     if v.system is not h.system:
         raise ValueError("module and algebra over different root systems")
-    by_residue = v.ring != h.ring
-    if by_residue and not (isinstance(v.ring, TorusRing) and h.ring == v.ring.field):
+    if v.ring != h.ring and not (isinstance(v.ring, TorusRing) and h.ring == v.ring.field):
         raise ValueError(
             f"cannot act with coefficients in {h.ring!r} on a module over {v.ring!r}"
         )
-    out = v._like({})
+    acc = {}
     for x, c in h.terms.items():
         for w, d in _walk(v.terms, weyl.reduced_word(x)):
-            out.add_term(w, d.scale(c.residue) if by_residue else d * c)
-    return out
+            acc[w] = add_raw(acc.get(w), d, c)
+    return v._like(v.ring.wrap(acc))
 
 
 # -- the module isomorphism --------------------------------------------------
 
 
 def schubert_from_hecke(h: HeckeElement) -> SchubertVector:
-    """Relabel an algebra element termwise onto Schubert classes."""
-    return SchubertVector(h.system, h.ring, dict(h.terms))
+    """Relabel an algebra element termwise onto Schubert classes, unvalidated."""
+    return SchubertVector._from_canonical(h.system, h.ring, dict(h.terms))
 
 
 def hecke_from_schubert(v: SchubertVector) -> HeckeElement:
     """Inverse relabeling of :func:`schubert_from_hecke`."""
-    return HeckeElement(v.system, v.ring, dict(v.terms))
+    return HeckeElement._from_canonical(v.system, v.ring, dict(v.terms))
 
 
 # -- the Grassmannian side ----------------------------------------------------
@@ -229,9 +229,9 @@ def specialize(v: SchubertVector) -> SchubertVector:
     """
     if isinstance(v.ring, PrimeField):
         return v
-    out = module_zero(v.system, v.ring.field)
-    out.terms = {w: s for w, c in v.terms.items() if (s := specialize_at_identity(c))}
-    return out
+    return SchubertVector._from_canonical(
+        v.system, v.ring.field,
+        {w: s for w, c in v.terms.items() if (s := specialize_at_identity(c))})
 
 
 # -- serialization --------------------------------------------------------------

@@ -545,10 +545,14 @@ def element_to_jsonable(x: AffineWeylElement) -> dict:
 
 
 def element_from_jsonable(system: RootSystem, data: dict) -> AffineWeylElement:
-    lam = tuple(int(c) for c in data["lambda"])
+    """Inverse of :func:`element_to_jsonable`; ValueError on any other shape."""
+    try:
+        lam = tuple(int(c) for c in data["lambda"])
+        word = [int(i) for i in data["word"]]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed element {data!r}") from exc
     if len(lam) != system.rank:
         raise ValueError(f"lambda of length {len(lam)} for rank {system.rank}")
-    word = list(data["word"])
     if any(not 1 <= i <= system.rank for i in word):
         raise ValueError(f"finite-part word {word} has letters outside 1..{system.rank}")
     return translation_element(system, lam) * from_word(system, word)

@@ -1,8 +1,11 @@
 """The property-check suites: green runs, determinism, mutation detection."""
 
+import random
+
 import pytest
 
 from zerohecke import checks, kmodule, weyl
+from zerohecke.coeffs import torus_ring
 from zerohecke.rootdata import build_root_system
 
 A2 = build_root_system("A", 2)
@@ -23,6 +26,34 @@ def test_braid_relations_on_length_six_balls(lie_type, rank):
     system = build_root_system(lie_type, rank)
     report = checks.check_braid(system, 3, basis_bound=6)
     assert report.passed, report.failures[:3]
+
+
+def test_random_instances_are_pinned():
+    """The random inputs of the algebra suites are a fixed function of the seed."""
+    ring = torus_ring(A2, 3)
+    ball = checks._flat_ball(A2, 4, 1_000_000)
+    rng = random.Random(0)
+    vectors = [kmodule.schubert_to_jsonable(checks._random_vector(A2, ring, ball, rng))
+               for _ in range(3)]
+    assert vectors == [
+        [{"elem": {"lambda": [1, 0], "word": [1]}, "coeff": [{"exp": [1, -2, 0], "coeff": 2}]},
+         {"elem": {"lambda": [0, 0], "word": [1, 2, 1]},
+          "coeff": [{"exp": [0, 1, 0], "coeff": 1}]}],
+        [{"elem": {"lambda": [1, 0], "word": [2, 1]},
+          "coeff": [{"exp": [0, -1, -2], "coeff": 2}]}],
+        [{"elem": {"lambda": [1, 1], "word": [1]}, "coeff": [{"exp": [-2, 0, 1], "coeff": 1}]},
+         {"elem": {"lambda": [2, 1], "word": [1, 2]}, "coeff": [{"exp": [2, -1, 0], "coeff": 1}]},
+         {"elem": {"lambda": [0, -1], "word": [1, 2]},
+          "coeff": [{"exp": [1, 0, 2], "coeff": 1}]}],
+    ]
+    rng = random.Random(0)
+    report = checks.check_specialize(A2, 3, n_instances=50, rng=rng)
+    assert (report.instance_count, report.failures) == (50, [])
+    assert rng.random() == 0.5682329433322765
+    rng = random.Random(0)
+    report = checks.check_xi(A2, 3, exhaustive_bound=2, n_random=50, rng=rng)
+    assert (report.instance_count, report.failures) == (150, [])
+    assert rng.random() == 0.9720932443736168
 
 
 def test_reports_are_deterministic_given_seed():

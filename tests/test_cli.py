@@ -92,6 +92,26 @@ def test_enumerate_stale_hash_regenerates(tmp_path, capsys):
     assert code == EXIT_OK and out2 == out1
 
 
+@pytest.mark.parametrize("elements", [
+    [[42]], [["x"]], 5, [5], [[{"lambda": [0, 0], "word": 5}]],
+    [[{"lambda": 5, "word": []}]], [[{"lambda": [0, "a"], "word": []}]],
+])
+def test_enumerate_malformed_elements_with_matching_hash_regenerate(
+        tmp_path, capsys, elements):
+    argv = ("enumerate", "--type", "A", "--rank", "2", "--max-length", "2",
+            "--cache", str(tmp_path))
+    _, out1, _ = run(capsys, *argv)
+    (cache_file,) = tmp_path.glob("ball-A2-N2.json")
+    body = json.loads(cache_file.read_text())
+    del body["hash"]
+    body["elements"] = elements
+    cache_file.write_text(json.dumps({**body, "hash": cli._digest(body)}))
+    code, out2, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out2 == out1
+    assert json.loads(cache_file.read_text())["elements"] != elements
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
     code, _, _ = run(capsys, "enumerate", "--rank", "1", "--max-length", "1")

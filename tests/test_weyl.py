@@ -597,3 +597,7 @@ def test_element_json_validation():
         element_from_jsonable(A2, {"lambda": [1], "word": []})
     with pytest.raises(ValueError, match="letters"):
         element_from_jsonable(A2, {"lambda": [0, 0], "word": [0]})
+    for junk in (42, "x", [], {"lambda": [0, 0]}, {"lambda": 5, "word": []},
+                 {"lambda": [0, 0], "word": 5}, {"lambda": [0, 0], "word": [None]}):
+        with pytest.raises(ValueError, match="malformed"):
+            element_from_jsonable(A2, junk)

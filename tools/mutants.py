@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WEYL, ROOTDATA = "src/zerohecke/weyl.py", "src/zerohecke/rootdata.py"
 CHECKS, KMODULE, CLI = "src/zerohecke/checks.py", "src/zerohecke/kmodule.py", "src/zerohecke/cli.py"
+COEFFS = "src/zerohecke/coeffs.py"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT = 300  # seconds per tier-1 run
@@ -58,7 +59,7 @@ MUTANTS = {
     ],
     # the right Hecke action and specialization
     "hecke-act-drops-scalar": [
-        (KMODULE, "d.scale(c.residue) if by_residue", "d if by_residue", 1),
+        (KMODULE, "add_raw(acc.get(w), d, c)", "add_raw(acc.get(w), d, h.ring.one())", 1),
     ],
     "specialize-keeps-zero-sums": [
         (KMODULE, "{w: s for w, c in v.terms.items() if (s := specialize_at_identity(c))}",
@@ -73,6 +74,23 @@ MUTANTS = {
     ],
     "suite-ball-ignores-max-elements": [
         (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 1),
+    ],
+    # raw accumulation and unvalidated relabels
+    "raw-sums-not-reduced": [
+        (COEFFS, "if (r := e % p)}", "if (r := e)}", 1),
+        (COEFFS, "if (r := raw % p)}", "if (r := raw)}", 1),
+    ],
+    "cancelled-class-kept": [
+        (COEFFS, "if (t := _reduced(raw, p))}", "if (t := _reduced(raw, p)) or True}", 1),
+    ],
+    "accumulator-writes-into-input": [
+        (COEFFS, "    if raw is None:\n        raw = {}\n",
+         "    if raw is None and type(s) is FieldElement and s.residue == 1:\n"
+         "        return c.terms\n    if raw is None:\n        raw = {}\n", 1),
+    ],
+    "relabel-shares-term-dict": [
+        (KMODULE, "SchubertVector._from_canonical(h.system, h.ring, dict(h.terms))",
+         "SchubertVector._from_canonical(h.system, h.ring, h.terms)", 1),
     ],
     # interned finite parts
     "one-part-table-for-all-systems": [
