@@ -10,11 +10,14 @@ Operator-level suites read ``kmodule.demazure_basis_target`` once per call
 and memoize it per (class, operator) in a run-local table walked by int
 ids.  No table outlives its call, so corrupting the rule (as the
 mutation-sanity tests do) corrupts the suites' subject and must surface
-as failures.
+as failures.  The braid, words and compose suites compare letter
+sequences only through :func:`_same_classes` and :func:`_same_vectors`,
+which record the inputs, then ``basis`` or ``vector``, then ``lhs``, ``rhs``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -104,20 +107,43 @@ def _wordstr(x) -> list:
     return list(weyl.reduced_word(x))
 
 
-def _random_terms(ring, pool, rng: random.Random, max_terms=3) -> dict:
-    """1..max_terms pool keys, each with a monomial of the torus ring and a
-    nonzero coefficient: canonical by construction, so never validated."""
+def _same_classes(report: CheckReport, table: _ClassTable, ids, lhs, cases):
+    """Each class id walked along ``lhs`` lands where it does along every
+    case's letters; a case is (inputs, letters), its inputs lead each record."""
+    report.count(len(ids) * len(cases))
+    for k in ids:
+        left = table.walk(k, lhs)
+        for inputs, letters in cases:
+            right = table.walk(k, letters)
+            if right != left:
+                report.fail({**inputs, "basis": table.word(k),
+                             "lhs": table.word(left), "rhs": table.word(right)})
+
+
+def _same_vectors(report: CheckReport, v, lhs, cases):
+    """The vector v sent along ``lhs`` equals v sent along every case's letters."""
+    report.count(len(cases))
+    js = kmodule.schubert_to_jsonable
+    left = kmodule.demazure_letters_apply(v, lhs)
+    for inputs, letters in cases:
+        right = kmodule.demazure_letters_apply(v, letters)
+        if right != left:
+            report.fail({**inputs, "vector": js(v), "lhs": js(left), "rhs": js(right)})
+
+
+def _random_terms(ring, pool, rng: random.Random) -> dict:
+    """1..3 pool keys, each with a monomial of the torus ring and a nonzero
+    coefficient: canonical by construction, so never validated."""
     terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 4)):
         exps = tuple([rng.randrange(-2, 3) for _ in range(ring.nvars)])
         terms[rng.choice(pool)] = GroupRingElement._from_canonical(
             ring.p, ring.nvars, {exps: rng.randrange(1, ring.p)})
     return terms
 
 
-def _random_vector(system, ring, pool, rng: random.Random, max_terms=3):
-    return kmodule.SchubertVector._from_canonical(
-        system, ring, _random_terms(ring, pool, rng, max_terms))
+def _random_vector(system, ring, pool, rng: random.Random):
+    return kmodule.SchubertVector._from_canonical(system, ring, _random_terms(ring, pool, rng))
 
 
 def _bound_box(name: str, system: RootSystem, max_coord: int, max_elements: int):
@@ -170,29 +196,11 @@ def check_braid(
             m = weyl.coxeter_order(system, i, j)
             if m is None:
                 continue
-            word_ij = tuple(i if k % 2 == 0 else j for k in range(m))
-            word_ji = tuple(j if k % 2 == 0 else i for k in range(m))
-            report.count(len(ids))
-            for k in ids:
-                lhs = table.walk(k, word_ij)
-                rhs = table.walk(k, word_ji)
-                if lhs != rhs:
-                    report.fail(
-                        {"i": i, "j": j, "m": m, "basis": table.word(k),
-                         "lhs": table.word(lhs), "rhs": table.word(rhs)}
-                    )
+            word_ij, word_ji = ((i, j) * m)[:m], ((j, i) * m)[:m]
+            cases = [({"i": i, "j": j, "m": m}, word_ji)]
+            _same_classes(report, table, ids, word_ij, cases)
             for _ in range(n_random):
-                report.count()
-                v = _random_vector(system, ring, ball, rng)
-                lhs = kmodule.demazure_letters_apply(v, word_ij)
-                rhs = kmodule.demazure_letters_apply(v, word_ji)
-                if lhs != rhs:
-                    report.fail(
-                        {"i": i, "j": j, "m": m,
-                         "vector": kmodule.schubert_to_jsonable(v),
-                         "lhs": kmodule.schubert_to_jsonable(lhs),
-                         "rhs": kmodule.schubert_to_jsonable(rhs)}
-                    )
+                _same_vectors(report, _random_vector(system, ring, ball, rng), word_ij, cases)
     return report
 
 
@@ -214,31 +222,14 @@ def check_words(
     ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
     for x in _flat_ball(system, word_bound, max_elements):
-        words = weyl.all_reduced_words(x, max_length=word_bound)
-        if len(words) < 2:
+        ref, *others = weyl.all_reduced_words(x, max_length=word_bound)
+        if not others:
             continue
-        ref = words[0]
-        report.count(len(ids) * (len(words) - 1))
-        for k in ids:
-            target = table.walk(k, ref)
-            for other in words[1:]:
-                got = table.walk(k, other)
-                if got != target:
-                    report.fail(
-                        {"element": _wordstr(x), "word": list(other),
-                         "reference_word": list(ref), "basis": table.word(k),
-                         "lhs": table.word(target), "rhs": table.word(got)}
-                    )
+        cases = [({"element": _wordstr(x), "word": list(other), "reference_word": list(ref)},
+                  other) for other in others]
+        _same_classes(report, table, ids, ref, cases)
         for _ in range(n_random):
-            v = _random_vector(system, ring, ball, rng)
-            target = kmodule.demazure_letters_apply(v, ref)
-            for other in words[1:]:
-                report.count()
-                if kmodule.demazure_letters_apply(v, other) != target:
-                    report.fail(
-                        {"element": _wordstr(x), "word": list(other),
-                         "vector": kmodule.schubert_to_jsonable(v)}
-                    )
+            _same_vectors(report, _random_vector(system, ring, ball, rng), ref, cases)
     return report
 
 
@@ -261,45 +252,26 @@ def check_compose(
     ring = torus_ring(system, p)
 
     for s in range(system.rank + 1):
-        report.count(len(ids))
-        for k in ids:
-            once = table.walk(k, (s,))
-            twice = table.walk(once, (s,))
-            if twice != once:
-                report.fail({"generator": s, "basis": table.word(k),
-                             "lhs": table.word(twice), "rhs": table.word(once)})
+        _same_classes(report, table, ids, (s, s), [({"generator": s}, (s,))])
 
     pool = _flat_ball(system, pair_bound, max_elements)
     # l(uv) <= l(u) + l(v) <= pair_bound, so uv is a pool element, whose
     # length and word the ball walk has already set
     pooled = {x: x for x in pool}
-    pairs = []
+    pairs = []  # u's word then v's against uv's, where l(uv) = l(u) + l(v)
     for u in pool:
         for v in pool:
             if 0 < weyl.length(u) + weyl.length(v) <= pair_bound:
                 uv = pooled[u * v]
                 if weyl.length(uv) == weyl.length(u) + weyl.length(v):
-                    pairs.append((u, v, uv))
-    for u, v, uv in pairs:
-        wu, wv, wuv = weyl.reduced_word(u), weyl.reduced_word(v), weyl.reduced_word(uv)
-        report.count(len(ids))
-        for k in ids:
-            lhs = table.walk(table.walk(k, wu), wv)
-            rhs = table.walk(k, wuv)
-            if lhs != rhs:
-                report.fail({"u": list(wu), "v": list(wv), "basis": table.word(k),
-                             "lhs": table.word(lhs), "rhs": table.word(rhs)})
-    for _ in range(n_random):
-        if not pairs:
-            break
-        report.count()
-        u, v, uv = rng.choice(pairs)
-        vec = _random_vector(system, ring, basis, rng)
-        lhs = kmodule.demazure_word_apply(kmodule.demazure_word_apply(vec, u), v)
-        rhs = kmodule.demazure_word_apply(vec, uv)
-        if lhs != rhs:
-            report.fail({"u": _wordstr(u), "v": _wordstr(v),
-                         "vector": kmodule.schubert_to_jsonable(vec)})
+                    wu, wv = weyl.reduced_word(u), weyl.reduced_word(v)
+                    pairs.append((wu + wv, [({"u": list(wu), "v": list(wv)},
+                                             weyl.reduced_word(uv))]))
+    for lhs, cases in pairs:
+        _same_classes(report, table, ids, lhs, cases)
+    for _ in range(n_random if pairs else 0):
+        lhs, cases = rng.choice(pairs)
+        _same_vectors(report, _random_vector(system, ring, basis, rng), lhs, cases)
     return report
 
 
@@ -366,9 +338,11 @@ def check_theta(
             y_lam = hecke.basis_y(weyl.translation_element(system, lam), ring)
             y_mu = hecke.basis_y(weyl.translation_element(system, mu), ring)
             total = tuple(a + b for a, b in zip(lam, mu))
-            expected = hecke.basis_y(weyl.translation_element(system, total), ring)
-            if hecke.multiply_hecke(y_lam, y_mu) != expected:
-                report.fail({"lambda": list(lam), "mu": list(mu)})
+            lhs = hecke.multiply_hecke(y_lam, y_mu)
+            rhs = hecke.basis_y(weyl.translation_element(system, total), ring)
+            if lhs != rhs:
+                report.fail({"lambda": list(lam), "mu": list(mu),
+                             "lhs": hecke.to_jsonable(lhs), "rhs": hecke.to_jsonable(rhs)})
     for _ in range(n_random):
         report.count()
         a = monoid_monomial(system, p, rng.choice(dom), rng.randrange(1, p))
@@ -376,7 +350,8 @@ def check_theta(
         lhs = hecke.embed_dominant(a * b)
         rhs = hecke.multiply_hecke(hecke.embed_dominant(a), hecke.embed_dominant(b))
         if lhs != rhs:
-            report.fail({"a": repr(a), "b": repr(b)})
+            report.fail({"a": repr(a), "b": repr(b),
+                         "lhs": hecke.to_jsonable(lhs), "rhs": hecke.to_jsonable(rhs)})
     return report
 
 
@@ -435,7 +410,9 @@ def check_spherical(
                 rhs = kmodule.spherical_act(total, v)
                 if lhs != rhs:
                     report.fail({"lambda": list(lam), "mu": list(mu),
-                                 "vector": kmodule.schubert_to_jsonable(v)})
+                                 "vector": kmodule.schubert_to_jsonable(v),
+                                 "lhs": kmodule.schubert_to_jsonable(lhs),
+                                 "rhs": kmodule.schubert_to_jsonable(rhs)})
                 for key in lhs.terms:
                     if not kmodule.is_spherical_key(system, key):
                         report.fail({"lambda": list(lam), "mu": list(mu),
@@ -494,8 +471,6 @@ def check_bruhat_oracle(
 
 def bruhat_subword_oracle(u, w) -> bool:
     """u <= w iff the canonical word of w has a subword multiplying to u."""
-    import itertools
-
     word = weyl.reduced_word(w)
     k = weyl.length(u)
     if k > len(word):

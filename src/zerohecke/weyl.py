@@ -4,8 +4,7 @@ Elements are kept in canonical (translation, finite part) form: the finite
 part is an integer matrix acting on coweights, the translation a coweight.
 Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Finite parts are
 interned per root system; each is made from a parent u as u s_j in
-O(rank^2), and a product missing from u's memo walks u along the right
-factor's canonical word.
+O(rank^2), and a product walks u along the right factor's canonical word.
 
 Generator 0 is ``t^(theta_coroot) s_theta``.  With alpha_0 := -theta,
 x = t^lam u sends the simple affine root i to the pair (level_i, height_i)
@@ -82,16 +81,14 @@ class FinitePart:
 
     Parts are interned per root system, so one element of W0 is one
     object, and parts compare by identity.  A part holds one
-    :class:`_Step` per generator, made from its parent's, memoizes its
-    products with other parts, and keeps its canonical word once
-    :func:`_part_word` has read it.
+    :class:`_Step` per generator, made from its parent's, and keeps its
+    canonical word once :func:`_part_word` has read it.
     """
 
-    __slots__ = ("mat", "_products", "_steps", "_word")
+    __slots__ = ("mat", "_steps", "_word")
 
     def __init__(self, mat: Matrix, steps: list[_Step] | None = None):
         self.mat = mat
-        self._products: dict[FinitePart, FinitePart] = {}
         self._steps = steps
         self._word: tuple[int, ...] | None = None
 
@@ -160,17 +157,6 @@ def _part_word(system: RootSystem, u: FinitePart) -> tuple[int, ...]:
     return u._word
 
 
-def _product(system: RootSystem, u: FinitePart, v: FinitePart) -> FinitePart:
-    """The part uv: u's product memo, else u walked along v's canonical word."""
-    uv = u._products.get(v)
-    if uv is None:
-        uv = u
-        for j in _part_word(system, v):
-            uv = _times_generator(system, uv, j)
-        u._products[v] = uv
-    return uv
-
-
 class AffineWeylElement:
     """A group element in canonical (translation, finite part) form.
 
@@ -220,7 +206,9 @@ class AffineWeylElement:
         trans = self.translation
         if any(other.translation):
             trans = tuple(map(add, trans, _matvec(u.mat, other.translation)))
-        return AffineWeylElement(system, trans, _product(system, u, v))
+        for j in _part_word(system, v):
+            u = _times_generator(system, u, j)
+        return AffineWeylElement(system, trans, u)
 
     def inverse(self) -> AffineWeylElement:
         """t^(-u^-1(lam)) u^-1, with u^-1 walked along u's word reversed."""

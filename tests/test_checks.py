@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zerohecke import checks, kmodule, weyl
+from zerohecke import checks, hecke, kmodule, weyl
 from zerohecke.coeffs import torus_ring
 from zerohecke.rootdata import build_root_system
 
@@ -307,3 +307,74 @@ def test_no_class_table_outlives_its_suite_call(monkeypatch):
     assert checks.check_compose(A2, 3, pair_bound=3, basis_bound=3, n_random=0).passed
     monkeypatch.setattr(kmodule, "demazure_basis_target", _flip_descent_branch)
     assert checks.check_compose(A2, 3, pair_bound=3, basis_bound=3, n_random=0).failures
+
+
+# -- both sides in every failure record ----------------------------------------------
+
+_TRUE_LETTERS_APPLY = kmodule.demazure_letters_apply
+
+
+def _drop_first_letter(v, letters):
+    # a word no longer composes its letters: relations fail on random vectors
+    return _TRUE_LETTERS_APPLY(v, tuple(letters)[1:])
+
+
+@pytest.mark.parametrize("name", ["braid", "words", "compose"])
+def test_random_layer_records_carry_both_sides(monkeypatch, name):
+    # the exhaustive layers read the true rule, so every failure is a random one
+    monkeypatch.setattr(kmodule, "demazure_letters_apply", _drop_first_letter)
+    report = checks.run_suite(name, A2, 3, 3, seed=0)
+    assert report.failures
+    for record in report.failures:
+        assert {"vector", "lhs", "rhs"} <= set(record)
+        assert record["lhs"] != record["rhs"]
+
+
+def test_theta_records_carry_both_sides(monkeypatch):
+    # the greedy product keeps its left factor: translations stop adding up
+    monkeypatch.setattr(hecke, "demazure_product", lambda w, x: w)
+    report = checks.run_suite("theta", A2, 3, 3, seed=0)
+    assert len(report.failures) == 99
+    for record in report.failures:
+        assert {"lhs", "rhs"} <= set(record) and record["lhs"] != record["rhs"]
+        assert {"lambda", "mu"} <= set(record) or {"a", "b"} <= set(record)
+
+
+def test_spherical_records_carry_both_sides(monkeypatch):
+    # each action also keeps its input: the action is no longer multiplicative
+    true_act = kmodule.spherical_act
+    monkeypatch.setattr(kmodule, "spherical_act", lambda lam, v: true_act(lam, v) + v)
+    report = checks.run_suite("spherical", A2, 3, 3)
+    assert report.failures
+    for record in report.failures:
+        assert set(record) == {"lambda", "mu", "vector", "lhs", "rhs"}
+        assert record["lhs"] != record["rhs"]
+
+
+def _ref_words_random(system, word_bound, basis_bound, n_random, rng):
+    records, later_cases = [], 0
+    ring, ball = torus_ring(system, 3), _ball(system, basis_bound)
+    js = kmodule.schubert_to_jsonable
+    for x in _ball(system, word_bound):
+        ref, *others = weyl.all_reduced_words(x, max_length=word_bound)
+        for _ in range(n_random if others else 0):
+            v = checks._random_vector(system, ring, ball, rng)
+            lhs = kmodule.demazure_letters_apply(v, ref)
+            for n, other in enumerate(others):
+                rhs = kmodule.demazure_letters_apply(v, other)
+                if rhs != lhs:
+                    later_cases += n > 0
+                    records.append({"element": _word(x), "word": list(other),
+                                    "reference_word": list(ref), "vector": js(v),
+                                    "lhs": js(lhs), "rhs": js(rhs)})
+    return records, later_cases
+
+
+def test_vector_walk_matches_reference(monkeypatch):
+    # every reduced word of an element against the first, on the same random
+    # vectors; at word bound 5, A2 has elements with three reduced words
+    monkeypatch.setattr(kmodule, "demazure_letters_apply", _drop_first_letter)
+    words = checks.check_words(A2, 3, word_bound=5, basis_bound=3, n_random=2,
+                               rng=random.Random(0))
+    records, later_cases = _ref_words_random(A2, 5, 3, 2, random.Random(0))
+    assert words.failures == records and later_cases > 0

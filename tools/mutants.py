@@ -5,8 +5,9 @@ root.  For each one, in order, the repository is copied to a temporary
 directory, the edits are applied (an edit whose text is not found the
 stated number of times, or a mutated file that does not compile, is an
 error, so a broken mutant cannot pass as killed), and the tier-1 tests
-run there with a timeout.  The report gives one line per mutant:
-killed, survived or timeout.
+run there with a timeout, stopping at the first failure, with
+``tests/test_acceptance.py`` after the other test files.  The report
+gives one line per mutant: killed, survived or timeout.
 
 Run from anywhere, with the standard library only:
 
@@ -29,8 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WEYL, ROOTDATA = "src/zerohecke/weyl.py", "src/zerohecke/rootdata.py"
 CHECKS, KMODULE, CLI = "src/zerohecke/checks.py", "src/zerohecke/kmodule.py", "src/zerohecke/cli.py"
 COEFFS = "src/zerohecke/coeffs.py"
+# the acceptance suites run last: the unit tests kill most mutants within
+# seconds, before a mutant that makes the suites run away meets the timeout
+TESTS = sorted((str(path.relative_to(ROOT)) for path in (ROOT / "tests").glob("test_*.py")),
+               key=lambda name: (name.endswith("test_acceptance.py"), name))
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", *TESTS]
 TIMEOUT = 300  # seconds per tier-1 run
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".benchmarks", ".perfbench-work", "*.egg-info")
@@ -43,9 +48,13 @@ MUTANTS = {
          "table = _SHARED.setdefault(system, _ClassTable(system))", 3),
         (CHECKS, "def _wordstr(x) -> list:", "_SHARED = {}\n\n\ndef _wordstr(x) -> list:", 1),
     ],
-    "words-record-lhs-rhs-swapped": [
-        (CHECKS, '"lhs": table.word(target), "rhs": table.word(got)}',
-         '"lhs": table.word(got), "rhs": table.word(target)}', 1),
+    "class-record-lhs-rhs-swapped": [
+        (CHECKS, '"lhs": table.word(left), "rhs": table.word(right)}',
+         '"lhs": table.word(right), "rhs": table.word(left)}', 1),
+    ],
+    "vector-walk-compares-first-case-only": [
+        (CHECKS, "for inputs, letters in cases:\n        right = kmodule.",
+         "for inputs, letters in cases[:1]:\n        right = kmodule.", 1),
     ],
     "rule-bound-at-import": [
         (KMODULE, "def _walk(terms: dict, letters):",
