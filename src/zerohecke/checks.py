@@ -7,12 +7,15 @@ the offending inputs and both sides in serialized form, so a reported
 counterexample can be replayed.
 
 Operator-level suites read ``kmodule.demazure_basis_target`` once per call
-and memoize it per (class, operator) in a run-local table walked by int
-ids.  No table outlives its call, so corrupting the rule (as the
+into a run-local table of int class ids, with one step map per operator
+filled on a miss; a word moves a whole column of class ids one letter at
+a time.  No table outlives its call, so corrupting the rule (as the
 mutation-sanity tests do) corrupts the suites' subject and must surface
-as failures.  The braid, words and compose suites compare letter
-sequences only through :func:`_same_classes` and :func:`_same_vectors`,
-which record the inputs, then ``basis`` or ``vector``, then ``lhs``, ``rhs``.
+as failures.  The compose suite builds its columns along the canonical-word
+tree of its pool, each from its parent's in one step.  The braid, words
+and compose suites record failures only through :func:`_class_records`
+and :func:`_same_vectors`, which record the inputs, then ``basis`` or
+``vector``, then ``lhs``, ``rhs``.
 """
 
 from __future__ import annotations
@@ -67,37 +70,48 @@ def _flat_ball(system: RootSystem, n: int, max_elements: int):
     return [x for shell in weyl.enumerate_ball(system, n, max_elements) for x in shell]
 
 
+class _StepMap(dict):
+    """Operator i on class ids: a dict from class id to class id, filled on
+    a miss from its table's rule."""
+
+    def __init__(self, table: _ClassTable, i: int):
+        super().__init__()
+        self.table, self.i = table, i
+
+    def __missing__(self, k: int) -> int:
+        table = self.table
+        nxt = self[k] = table.intern(table.rule(table.elements[k], self.i))
+        return nxt
+
+
 class _ClassTable:
     """Basis classes interned as ints for one suite call.
 
-    ``succ[k][i]`` is the id of the class that operator i sends class k
-    to, filled on first use from the rule read at construction.
+    ``steps[i]`` sends a class id to the id of the class that operator i
+    sends it to, filled on first use from the rule read at construction.
+    A column is a list of class ids; :meth:`walk` moves a whole column one
+    letter at a time.
     """
 
     def __init__(self, system: RootSystem):
         self.rule = kmodule.demazure_basis_target
         self.ids: dict = {}
         self.elements: list = []
-        self.succ: list = []
-        self.width = system.rank + 1
+        self.steps = [_StepMap(self, i) for i in range(system.rank + 1)]
 
     def intern(self, w) -> int:
         k = self.ids.get(w)
         if k is None:
             k = self.ids[w] = len(self.elements)
             self.elements.append(w)
-            self.succ.append([None] * self.width)
         return k
 
-    def walk(self, k: int, letters) -> int:
-        """The id reached from class k by applying the operators of letters."""
-        succ = self.succ
+    def walk(self, column: list, letters) -> list:
+        """The column reached from ``column`` by applying the operators of letters."""
+        steps = self.steps
         for i in letters:
-            nxt = succ[k][i]
-            if nxt is None:
-                nxt = succ[k][i] = self.intern(self.rule(self.elements[k], i))
-            k = nxt
-        return k
+            column = list(map(steps[i].__getitem__, column))
+        return column
 
     def word(self, k: int) -> list:
         return _wordstr(self.elements[k])
@@ -107,17 +121,24 @@ def _wordstr(x) -> list:
     return list(weyl.reduced_word(x))
 
 
-def _same_classes(report: CheckReport, table: _ClassTable, ids, lhs, cases):
-    """Each class id walked along ``lhs`` lands where it does along every
-    case's letters; a case is (inputs, letters), its inputs lead each record."""
-    report.count(len(ids) * len(cases))
-    for k in ids:
-        left = table.walk(k, lhs)
-        for inputs, letters in cases:
-            right = table.walk(k, letters)
-            if right != left:
+def _class_records(report: CheckReport, table: _ClassTable, ids, left, rights):
+    """Record every class whose ``left`` column entry differs from a right
+    column's, by class, then by case; a right is (inputs, column)."""
+    for n, k in enumerate(ids):
+        for inputs, right in rights:
+            if right[n] != left[n]:
                 report.fail({**inputs, "basis": table.word(k),
-                             "lhs": table.word(left), "rhs": table.word(right)})
+                             "lhs": table.word(left[n]), "rhs": table.word(right[n])})
+
+
+def _same_classes(report: CheckReport, table: _ClassTable, ids, lhs, cases):
+    """The column of class ids walked along ``lhs`` equals it walked along
+    every case's letters; a case is (inputs, letters), its inputs lead each record."""
+    report.count(len(ids) * len(cases))
+    left = table.walk(ids, lhs)
+    rights = [(inputs, table.walk(ids, letters)) for inputs, letters in cases]
+    if any(right != left for _, right in rights):
+        _class_records(report, table, ids, left, rights)
 
 
 def _same_vectors(report: CheckReport, v, lhs, cases):
@@ -247,28 +268,49 @@ def check_compose(
     rng = rng or random.Random(0)
     report = CheckReport("compose")
     table = _ClassTable(system)
-    basis = _flat_ball(system, basis_bound, max_elements)
+    n = max(pair_bound, basis_bound)
+    shells = weyl.enumerate_ball(system, n, max_elements)
+    basis = [x for shell in shells[:basis_bound + 1] for x in shell]
     ids = [table.intern(w) for w in basis]
     ring = torus_ring(system, p)
 
     for s in range(system.rank + 1):
         _same_classes(report, table, ids, (s, s), [({"generator": s}, (s,))])
 
-    pool = _flat_ball(system, pair_bound, max_elements)
+    # The pool comes in ball order, so each element follows its canonical
+    # parent, whose word is its own less the last letter: one step makes
+    # its column from the parent's.
+    pool = [x for shell in shells[:pair_bound + 1] for x in shell]
+    columns = {(): ids}  # canonical word -> the basis column walked along it
+    for x in pool[1:]:
+        wx = weyl.reduced_word(x)
+        columns[wx] = table.walk(columns[wx[:-1]], wx[-1:])
     # l(uv) <= l(u) + l(v) <= pair_bound, so uv is a pool element, whose
     # length and word the ball walk has already set
     pooled = {x: x for x in pool}
     pairs = []  # u's word then v's against uv's, where l(uv) = l(u) + l(v)
     for u in pool:
+        wu, lu = weyl.reduced_word(u), weyl.length(u)
+        # v's word -> the column of u's walked along it, for additive (u, v).
+        # If wu + wv is reduced, so is wu + wv[:-1], a factor of a reduced
+        # word: (u, parent of v) is additive too, and comes earlier.
+        walked = {(): columns[wu]}
         for v in pool:
-            if 0 < weyl.length(u) + weyl.length(v) <= pair_bound:
-                uv = pooled[u * v]
-                if weyl.length(uv) == weyl.length(u) + weyl.length(v):
-                    wu, wv = weyl.reduced_word(u), weyl.reduced_word(v)
-                    pairs.append((wu + wv, [({"u": list(wu), "v": list(wv)},
-                                             weyl.reduced_word(uv))]))
-    for lhs, cases in pairs:
-        _same_classes(report, table, ids, lhs, cases)
+            lv = weyl.length(v)
+            if lu + lv > pair_bound:
+                break
+            if not lu + lv:
+                continue
+            uv = pooled[u * v]
+            if weyl.length(uv) == lu + lv:
+                wv, wuv = weyl.reduced_word(v), weyl.reduced_word(uv)
+                inputs = {"u": list(wu), "v": list(wv)}
+                pairs.append((wu + wv, [(inputs, wuv)]))
+                if wv:
+                    walked[wv] = table.walk(walked[wv[:-1]], wv[-1:])
+                report.count(len(ids))
+                if walked[wv] != columns[wuv]:
+                    _class_records(report, table, ids, walked[wv], [(inputs, columns[wuv])])
     for _ in range(n_random if pairs else 0):
         lhs, cases = rng.choice(pairs)
         _same_vectors(report, _random_vector(system, ring, basis, rng), lhs, cases)

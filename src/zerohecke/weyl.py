@@ -543,4 +543,8 @@ def element_from_jsonable(system: RootSystem, data: dict) -> AffineWeylElement:
         raise ValueError(f"lambda of length {len(lam)} for rank {system.rank}")
     if any(not 1 <= i <= system.rank for i in word):
         raise ValueError(f"finite-part word {word} has letters outside 1..{system.rank}")
-    return translation_element(system, lam) * from_word(system, word)
+    # t^lam u: the translation as read, with u walked once along its word
+    u = identity_element(system).finite
+    for i in word:
+        u = _times_generator(system, u, i)
+    return AffineWeylElement(system, lam, u)

@@ -116,6 +116,8 @@ _RELATIONS_SCALE = {
     [
         ("check_compose", "A", 16724),
         ("check_compose", "C", 12845),
+        ("check_compose", "G", 10264),
+        ("check_compose", "A3", 165770),
         ("check_words", "A", 2160),
         ("check_words", "C", 2025),
         ("check_braid", "A", 252),
@@ -123,7 +125,8 @@ _RELATIONS_SCALE = {
     ],
 )
 def test_instance_counts_at_relations_scale(suite, lie_type, count):
-    system = build_root_system(lie_type, 2)
+    # the counts the relations benchmark expects; a bare type letter is rank 2
+    system = build_root_system(lie_type[0], int(lie_type[1:] or 2))
     report = getattr(checks, suite)(system, 3, **_RELATIONS_SCALE[suite])
     assert report.passed, report.failures[:3]
     assert report.instance_count == count
@@ -301,6 +304,30 @@ def test_int_walk_matches_element_walk(monkeypatch, mutation, bites):
     assert words.failures == _ref_words(A2, 3, 4)
     assert braid.failures == _ref_braid(A2, 3)
     assert (bool(compose.failures), bool(words.failures), bool(braid.failures)) == bites
+
+
+def _stall_length_three(w, i):
+    # classes of length 3 stay put: only walks that pass through them go wrong
+    if weyl.length(w) == 3:
+        return w
+    return _TRUE_RULE(w, i)
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,pair_bound", [("A", 2, 5), ("C", 2, 5), ("G", 2, 5), ("A", 3, 4)]
+)
+def test_int_walk_matches_element_walk_at_depth(monkeypatch, lie_type, rank, pair_bound):
+    # compose builds its columns along the canonical-word tree: only branches
+    # at least three letters deep meet the broken classes
+    system = build_root_system(lie_type, rank)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _stall_length_three)
+    compose = checks.check_compose(system, 3, pair_bound=pair_bound, basis_bound=6, n_random=0)
+    words = checks.check_words(system, 3, word_bound=pair_bound, basis_bound=6, n_random=0)
+    braid = checks.check_braid(system, 3, basis_bound=6, n_random=0)
+    assert compose.failures == _ref_compose(system, pair_bound, 6)
+    assert words.failures == _ref_words(system, pair_bound, 6)
+    assert braid.failures == _ref_braid(system, 6)
+    assert compose.failures and words.failures and braid.failures
 
 
 def test_no_class_table_outlives_its_suite_call(monkeypatch):

@@ -592,6 +592,14 @@ def test_element_json_roundtrip():
             assert element_from_jsonable(system, data) == x
 
 
+def test_element_json_roundtrip_shares_interned_parts():
+    # a rebuilt element carries the very part object the ball walk made
+    e8 = build_root_system("E", 8)
+    for x in flat_ball(e8, 3):
+        y = element_from_jsonable(e8, element_to_jsonable(x))
+        assert y == x and y.finite is x.finite
+
+
 def test_element_json_validation():
     with pytest.raises(ValueError, match="lambda"):
         element_from_jsonable(A2, {"lambda": [1], "word": []})

@@ -49,8 +49,15 @@ MUTANTS = {
         (CHECKS, "def _wordstr(x) -> list:", "_SHARED = {}\n\n\ndef _wordstr(x) -> list:", 1),
     ],
     "class-record-lhs-rhs-swapped": [
-        (CHECKS, '"lhs": table.word(left), "rhs": table.word(right)}',
-         '"lhs": table.word(right), "rhs": table.word(left)}', 1),
+        (CHECKS, '"lhs": table.word(left[n]), "rhs": table.word(right[n])}',
+         '"lhs": table.word(right[n]), "rhs": table.word(left[n])}', 1),
+    ],
+    "class-records-stop-at-first-difference": [
+        (CHECKS, '"rhs": table.word(right[n])})\n',
+         '"rhs": table.word(right[n])})\n                return\n', 1),
+    ],
+    "compose-column-steps-first-letter": [
+        (CHECKS, "table.walk(columns[wx[:-1]], wx[-1:])", "table.walk(columns[wx[:-1]], wx[:1])", 1),
     ],
     "vector-walk-compares-first-case-only": [
         (CHECKS, "for inputs, letters in cases:\n        right = kmodule.",
@@ -82,7 +89,7 @@ MUTANTS = {
          '"spherical", system, max_coord', 1),
     ],
     "suite-ball-ignores-max-elements": [
-        (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 1),
+        (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 2),
     ],
     # raw accumulation and unvalidated relabels
     "raw-sums-not-reduced": [
