@@ -173,7 +173,7 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(_dump(payload))
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write cache file {path}: {exc}") from exc
@@ -346,18 +346,27 @@ def cmd_check(args) -> int:
 
 
 def bruhat_dot(system: RootSystem, max_length: int, max_elements: int) -> str:
+    """The Hasse diagram of the ball, edges sorted by (lower, upper) node.
+
+    By the subword property (Bjorner-Brenti, GTM 231, Thm 2.2.2), the
+    elements that w covers are those of length l(w) - 1 got by deleting one
+    letter of a reduced word of w; every one of them lies in the shell below.
+    """
     shells = weyl.enumerate_ball(system, max_length, max_elements=max_elements)
     nodes = [x for shell in shells for x in shell]
-    index = {x: f"n{k}" for k, x in enumerate(nodes)}
+    index = {x: k for k, x in enumerate(nodes)}
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    for x in nodes:
+    for k, x in enumerate(nodes):
         label = ".".join(f"s{i}" for i in weyl.reduced_word(x)) or "e"
-        lines.append(f'  {index[x]} [label="{label}"];')
-    for k in range(len(shells) - 1):
-        for u in shells[k]:
-            for w in shells[k + 1]:
-                if weyl.bruhat_leq(u, w):
-                    lines.append(f"  {index[u]} -> {index[w]};")
+        lines.append(f'  n{k} [label="{label}"];')
+    edges = []
+    for lower, shell in zip(shells, shells[1:]):
+        below = set(lower)
+        for w in shell:
+            word = weyl.reduced_word(w)
+            deletions = {weyl.from_word(system, word[:k] + word[k + 1:]) for k in range(len(word))}
+            edges += [(index[u], index[w]) for u in deletions if u in below]
+    lines += [f"  n{u} -> n{w};" for u, w in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -82,12 +82,18 @@ def convert_basis(h: HeckeElement, direction: str) -> HeckeElement:
 
 
 def demazure_product(w: AffineWeylElement, x: AffineWeylElement) -> AffineWeylElement:
-    """The greedy product: absorb the letters of x that still go up."""
-    acc = w
+    """The greedy product: absorb the letters of x that still go up.
+
+    Walked on raw (translation, part) state, one element at the end; w
+    itself when no letter goes up.
+    """
+    system, lam, u = w.system, w.translation, w.finite
+    moved = False
     for i in weyl.reduced_word(x):
-        if not weyl.is_right_descent(acc, i):
-            acc = weyl._mul_gen(acc, i)
-    return acc
+        if not weyl._descends(lam, u, i):
+            lam, u = weyl._step(system, lam, u, i)
+            moved = True
+    return AffineWeylElement(system, lam, u) if moved else w
 
 
 def multiply_hecke(a: HeckeElement, b: HeckeElement) -> HeckeElement:

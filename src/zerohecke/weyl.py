@@ -264,21 +264,37 @@ def translation_element(system: RootSystem, lam: Vector) -> AffineWeylElement:
     return AffineWeylElement(system, tuple(int(c) for c in lam), identity_element(system).finite)
 
 
+def _step(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> tuple[Vector, FinitePart]:
+    """(t^lam u) s_i as its (translation, part), read off u's step record i."""
+    step = u._steps[i]
+    part = step.product or _times_generator(system, u, i)
+    return (lam if step.shift is None else tuple(map(add, lam, step.shift))), part
+
+
+def _descends(lam: Vector, u: FinitePart, i: int) -> bool:
+    """True iff i is a right descent of t^lam u: its (level, height) pair is below (0, 0)."""
+    step = u._steps[i]
+    level = (i == 0) - sum(map(mul, lam, step.dual))
+    return level < 0 if level else step.height < 0
+
+
 def from_word(system: RootSystem, letters) -> AffineWeylElement:
-    x = identity_element(system)
+    """The product of the generators in letters, walked on raw state: one element in all."""
+    rank, e = system.rank, identity_element(system)
+    lam, u = e.translation, e.finite
     for i in letters:
-        x = _mul_gen(x, i)
-    return x
+        if not 0 <= i <= rank:
+            raise ValueError(f"generator index {i} out of range 0..{rank}")
+        lam, u = _step(system, lam, u, i)
+    return AffineWeylElement(system, lam, u)
 
 
 def _mul_gen(x: AffineWeylElement, i: int) -> AffineWeylElement:
-    """x times generator i, read off the step record of x's part."""
+    """x times generator i."""
     if not 0 <= i <= x.system.rank:
         raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
-    step = x.finite._steps[i]
-    part = step.product or _times_generator(x.system, x.finite, i)
-    trans = x.translation if step.shift is None else tuple(map(add, x.translation, step.shift))
-    return AffineWeylElement(x.system, trans, part)
+    lam, part = _step(x.system, x.translation, x.finite, i)
+    return AffineWeylElement(x.system, lam, part)
 
 
 # -- length, descents ------------------------------------------------------
@@ -293,9 +309,7 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     """
     if not 0 <= i <= x.system.rank:
         raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
-    step = x.finite._steps[i]
-    level = (i == 0) - sum(map(mul, x.translation, step.dual))
-    return level < 0 if level else step.height < 0
+    return _descends(x.translation, x.finite, i)
 
 
 def length(x: AffineWeylElement) -> int:
@@ -392,8 +406,10 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Bruhat-Chevalley order via the descent (lifting) property.
 
     Peel a right descent s of w; u <= w iff u' <= ws, where u' is us when s
-    is a descent of u and u otherwise.  Each step shortens w by one, so the
-    walk is a loop with both lengths tracked.
+    is a descent of u and u otherwise.  Read backwards, w's canonical word
+    lists the smallest descents that peeling w meets one by one, so only u
+    is walked, on raw state, with both lengths tracked: a loop, not a
+    recursion, whatever the lengths.
 
     >>> rs = build_root_system("A", 1)
     >>> bruhat_leq(generator(rs, 0), from_word(rs, [0, 1]))
@@ -403,17 +419,17 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     """
     if u.system is not w.system:
         raise ValueError("Bruhat comparison across different root systems")
-    lu, lw = length(u), length(w)
-    while lu:
-        if lu > lw:
-            return False
-        i = next(i for i in range(w.system.rank + 1) if is_right_descent(w, i))
-        w = _mul_gen(w, i)
+    system, lam, v = u.system, u.translation, u.finite
+    word = reduced_word(w)
+    lu, lw = length(u), len(word)
+    for i in reversed(word):
+        if not lu or lu > lw:
+            break
         lw -= 1
-        if is_right_descent(u, i):
-            u = _mul_gen(u, i)
+        if _descends(lam, v, i):
+            lam, v = _step(system, lam, v, i)
             lu -= 1
-    return True
+    return not lu
 
 
 # -- enumeration ---------------------------------------------------------
@@ -544,7 +560,4 @@ def element_from_jsonable(system: RootSystem, data: dict) -> AffineWeylElement:
     if any(not 1 <= i <= system.rank for i in word):
         raise ValueError(f"finite-part word {word} has letters outside 1..{system.rank}")
     # t^lam u: the translation as read, with u walked once along its word
-    u = identity_element(system).finite
-    for i in word:
-        u = _times_generator(system, u, i)
-    return AffineWeylElement(system, lam, u)
+    return AffineWeylElement(system, lam, from_word(system, word).finite)

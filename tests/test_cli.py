@@ -112,6 +112,23 @@ def test_enumerate_malformed_elements_with_matching_hash_regenerate(
     assert json.loads(cache_file.read_text())["elements"] != elements
 
 
+def test_indented_cache_still_hits(tmp_path, capsys):
+    # the cache is written compact; an indented file with the same body hits,
+    # since the hash is taken over the canonical body
+    argv = ("enumerate", "--type", "G", "--rank", "2", "--max-length", "3",
+            "--cache", str(tmp_path))
+    _, out1, _ = run(capsys, *argv)
+    (cache_file,) = tmp_path.glob("ball-G2-N3.json")
+    compact = cache_file.read_text()
+    assert "\n" not in compact
+    indented = json.dumps(json.loads(compact), indent=2)
+    cache_file.write_text(indented)
+    code, out2, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out2 == out1
+    assert cache_file.read_text() == indented  # a hit: the file was not rewritten
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path))
     code, _, _ = run(capsys, "enumerate", "--rank", "1", "--max-length", "1")
@@ -343,6 +360,21 @@ def test_graph_output_is_well_formed_dot(capsys):
         assert DOT_LINE.match(line), line
 
 
+@pytest.mark.parametrize("lie_type,rank,n", [("A", 2, 6), ("C", 2, 5), ("G", 2, 6),
+                                              ("B", 3, 4)])
+def test_graph_edges_are_the_bruhat_covers(lie_type, rank, n):
+    # the deletion edges against every Bruhat-comparable pair of adjacent shells
+    system = cli.build_root_system(lie_type, rank)
+    shells = weyl.enumerate_ball(system, n)
+    index = {x: k for k, x in enumerate(x for shell in shells for x in shell)}
+    covers = sorted((index[u], index[w]) for below, shell in zip(shells, shells[1:])
+                    for u in below for w in shell if weyl.bruhat_leq(u, w))
+    dot = cli.bruhat_dot(system, n, 10_000)
+    edges = [tuple(int(m) for m in re.findall(r"n(\d+)", line))
+             for line in dot.splitlines() if "->" in line]
+    assert edges == covers
+
+
 def test_graph_determinism(capsys):
     _, out1, _ = run(capsys, "graph", "--rank", "2", "--max-length", "2")
     _, out2, _ = run(capsys, "graph", "--rank", "2", "--max-length", "2")
@@ -357,6 +389,15 @@ def test_bruhat_on_long_elements_answers(capsys):
     code, out, err = run(capsys, "compute", "--rank", "2", "bruhat", word, word)
     assert code == EXIT_OK, err
     assert json.loads(out) is True
+
+
+def test_out_of_range_letter_anywhere_is_a_usage_error(capsys):
+    for word in ("[3]", "[0,1,-1]", "[" + ",".join(["0,1,2"] * 100) + ",3,1]"):
+        for argv in (("len", word), ("bruhat", "[]", word), ("hecke-mul", "Y[0]", f"Y{word}"),
+                     ("demazure", "S[]", word)):
+            code, out, err = run(capsys, "compute", "--rank", "2", *argv)
+            assert code == EXIT_USAGE and out == "", argv
+            assert err.startswith("error:") and "out of range" in err, argv
 
 
 def test_unexpected_error_is_one_line_usage_exit(capsys, monkeypatch):
@@ -439,6 +480,16 @@ def test_enumerate_and_graph_output_is_pinned(tmp_path, capsys):
             "3ed9fdc5d484e6340e233ebd8f58ae80b8db1c5be8172ebd416c7c9a32ce8421",
         ("graph", "A", "2", "5"):
             "e6645b44b773e421fa8d3913747e64203b61a850e70ffd41d2484d8cab2bbbb6",
+        ("graph", "C", "2", "4"):
+            "4b2bc7d3684e56edefe2d21df428bb2239b1846770e2c4a96f5c953e28e48046",
+        ("graph", "G", "2", "5"):
+            "2cebf207af3014c87fcb0c63ddb57181832b1f71562f8357827a4bb6320070db",
+        ("graph", "B", "3", "5"):
+            "8a90da1a662716897b9c4b232b891e0f3cf2829881302b40485a9c5f5236c8ba",
+        ("graph", "D", "4", "4"):
+            "c5e3b46b6490d3145f3fbb3b0abd43a6c195845951ba464138d119126730dbdb",
+        ("graph", "E", "8", "4"):
+            "0dd4f68c07ed4b9c8e33113962c07d9d41e96d04bf02a8e50301542301e840c0",
     }
     for (command, lie_type, rank, n), digest in pinned.items():
         argv = (command, "--type", lie_type, "--rank", rank, "--max-length", n,

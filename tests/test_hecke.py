@@ -156,6 +156,35 @@ def test_product_independent_of_right_operand_words():
         assert demazure_product(weyl.from_word(A2, [0, 1]), x) == expected
 
 
+def reference_demazure_product(w, x):
+    """The greedy product walked on elements, one element per letter."""
+    acc = w
+    for i in weyl.reduced_word(x):
+        if not weyl.is_right_descent(acc, i):
+            acc = weyl._mul_gen(acc, i)
+    return acc
+
+
+@pytest.mark.parametrize("system", [A1, A2, C2, build_root_system("G", 2)], ids=repr)
+def test_demazure_product_matches_the_element_walk(system):
+    ball = flat_ball(system, 4)
+    for w in ball:
+        for x in ball:
+            product = demazure_product(w, x)
+            assert product == reference_demazure_product(w, x), (w, x)
+            assert product.finite is reference_demazure_product(w, x).finite
+
+
+def test_demazure_product_returns_w_when_nothing_goes_up():
+    # w ends in the longest finite element: every word in 1, 2 is absorbed
+    w = weyl.from_word(A2, [0, 1, 2, 1])
+    absorbed = [x for x in flat_ball(A2, 3)
+                if all(weyl.is_right_descent(w, i) for i in weyl.reduced_word(x))]
+    assert len(absorbed) > 2
+    for x in absorbed:
+        assert demazure_product(w, x) is w
+
+
 def test_multiply_rejects_mixed_parameters():
     with pytest.raises(ValueError, match="mixed"):
         multiply_hecke(hecke_unit(A2, GF3), hecke_unit(A2, PrimeField(5)))

@@ -67,6 +67,29 @@ def test_generator_index_range():
         generator(A2, 3)
 
 
+def test_from_word_equals_the_generator_fold():
+    # one walk on raw state lands on the element, and the part object, that
+    # multiplying by one generator at a time reaches
+    rng = random.Random(13)
+    for lie_type, rank in (("A", 2), ("C", 2), ("G", 2), ("B", 3), ("E", 8)):
+        system = build_root_system(lie_type, rank)
+        for _ in range(20):
+            word = [rng.randint(0, rank) for _ in range(rng.randint(0, 300))]
+            x = identity_element(system)
+            for i in word:
+                x = weyl._mul_gen(x, i)
+            y = from_word(system, word)
+            assert y.translation == x.translation and y.finite is x.finite, word
+
+
+def test_from_word_checks_every_letter():
+    for system in (A2, build_root_system("G", 2)):
+        for bad in (-1, system.rank + 1):
+            for word in ([bad], [0, 1, bad], [0, 1, 2] * 50 + [bad] + [1, 2]):
+                with pytest.raises(ValueError, match=f"generator index {bad} out of range"):
+                    from_word(system, word)
+
+
 def test_random_inverses():
     rng = random.Random(7)
     systems = [build_root_system(t, r) for t, r in (("G", 2), ("B", 3), ("F", 4), ("E", 8))]
@@ -416,6 +439,22 @@ def test_bruhat_matches_subword_oracle():
     for u in ball:
         for w in ball:
             assert bruhat_leq(u, w) == bruhat_subword(u, w)
+
+
+def test_bruhat_on_long_dominant_translations():
+    # t^(a lam) is a prefix of t^(b lam) for dominant lam and 0 <= a <= b,
+    # and the larger multiples are words of 1000 letters and more
+    for lie_type, rank in (("A", 2), ("C", 2), ("G", 2), ("B", 3)):
+        system = build_root_system(lie_type, rank)
+        lam = system.highest_coroot
+        step = length(translation_element(system, lam))
+        multiples = (0, 1, 1000 // step, 1000 // step + 1, 1500 // step)
+        elements = {a: translation_element(system, tuple(a * c for c in lam))
+                    for a in multiples}
+        assert length(elements[multiples[-1]]) >= 1000
+        for a, x in elements.items():
+            for b, y in elements.items():
+                assert bruhat_leq(x, y) == (a <= b), (lie_type, a, b)
 
 
 def test_bruhat_is_partial_order():

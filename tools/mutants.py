@@ -139,9 +139,8 @@ MUTANTS = {
          "coroots = [self.highest_coroot, *units]", 1),
     ],
     "i0-shift-dropped": [
-        (WEYL, "trans = x.translation if step.shift is None else "
-               "tuple(map(add, x.translation, step.shift))",
-         "trans = x.translation", 1),
+        (WEYL, "return (lam if step.shift is None else tuple(map(add, lam, step.shift))), part",
+         "return lam, part", 1),
     ],
     "shift-update-dropped": [
         (WEYL, "new[0].shift = tuple(h + a0 * c for h, c in zip(shift, col)) if a0 else shift",
@@ -168,8 +167,19 @@ MUTANTS = {
     "descent-index-unchecked": [
         (WEYL, "    if not 0 <= i <= x.system.rank:\n"
                '        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")\n'
-               "    step = x.finite._steps[i]\n    level",
-         "    step = x.finite._steps[i]\n    level", 1),
+               "    return _descends(",
+         "    return _descends(", 1),
+    ],
+    "word-letters-unchecked": [
+        (WEYL, "        if not 0 <= i <= rank:\n"
+               '            raise ValueError(f"generator index {i} out of range 0..{rank}")\n', "", 1),
+    ],
+    # Bruhat order and its Hasse diagram
+    "bruhat-peels-word-forward": [
+        (WEYL, "for i in reversed(word):", "for i in word:", 1),
+    ],
+    "graph-keeps-non-covers": [
+        (CLI, "for u in deletions if u in below]", "for u in deletions]", 1),
     ],
     "length-sign-on-negative-images": [
         (WEYL, "abs(level - 1) if height < 0", "abs(level + 1) if height < 0", 1),
