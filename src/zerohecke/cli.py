@@ -131,16 +131,12 @@ def _digest(body: dict) -> str:
     ).hexdigest()
 
 
-def _ball_payload(system: RootSystem, n: int, shells) -> dict:
-    elements = [
-        [weyl.element_to_jsonable(x) for x in shell] for shell in shells
-    ]
-    body = {"type": system.lie_type, "rank": system.rank,
-            "maxlen": n, "version": CACHE_VERSION, "elements": elements}
-    return {**body, "hash": _digest(body)}
-
-
 def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_elements: int):
+    """The ball's shells as element JSON, and the cache file's path.
+
+    A hit checks the file and returns its lists; a miss serializes each element once.
+    """
+    head = {"type": system.lie_type, "rank": system.rank, "maxlen": n, "version": CACHE_VERSION}
     path = cache_dir / f"ball-{system.lie_type}{system.rank}-N{n}.json"
     if path.exists():
         try:
@@ -148,36 +144,32 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
             if (
                 isinstance(data, dict)
                 and data.pop("hash", None) == _digest(data)
-                and data.get("version") == CACHE_VERSION
-                and data.get("type") == system.lie_type
-                and data.get("rank") == system.rank
-                and data.get("maxlen") == n
-                and isinstance(data.get("elements"), list)
-                and all(isinstance(shell, list) for shell in data["elements"])
+                and head.items() <= data.items()
+                and isinstance(shells := data.get("elements"), list)
+                and len(shells) == n + 1
+                and all(isinstance(shell, list) for shell in shells)
             ):
-                total = sum(len(shell) for shell in data["elements"])
-                if total > max_elements:
+                if (total := sum(map(len, shells))) > max_elements:
                     raise ResourceBoundError(
-                        f"cached ball {path} holds {total} elements, "
-                        f"more than {max_elements}"
-                    )
-                return [
-                    [weyl.element_from_jsonable(system, e) for e in shell]
-                    for shell in data["elements"]
-                ], path
-        except (OSError, ValueError, KeyError):
+                        f"cached ball {path} holds {total} elements, more than {max_elements}")
+                for shell in shells:
+                    for e in shell:
+                        weyl.check_element_jsonable(system, e)
+                return shells, path
+        except (OSError, ValueError):
             pass  # stale or corrupt cache regenerates silently
-    shells = weyl.enumerate_ball(system, n, max_elements=max_elements)
-    payload = _ball_payload(system, n, shells)
+    ball = weyl.enumerate_ball(system, n, max_elements=max_elements)
+    shells = [[weyl.element_to_jsonable(x) for x in shell] for shell in ball]
+    body = {**head, "elements": shells}
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(json.dumps({**body, "hash": _digest(body)}))
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write cache file {path}: {exc}") from exc
-    return [list(shell) for shell in shells], path
+    return shells, path
 
 
 def cmd_enumerate(args) -> int:
@@ -185,11 +177,8 @@ def cmd_enumerate(args) -> int:
     shells, _ = _load_or_build_ball(
         system, args.max_length, _cache_dir(args), args.max_elements
     )
-    groups = [
-        {"length": k, "count": len(shell),
-         "elements": [weyl.element_to_jsonable(x) for x in shell]}
-        for k, shell in enumerate(shells)
-    ]
+    groups = [{"length": k, "count": len(shell), "elements": shell}
+              for k, shell in enumerate(shells)]
     if args.output_format == "table":
         for g in groups:
             print(f"length {g['length']}: {g['count']} elements")

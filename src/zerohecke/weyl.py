@@ -40,6 +40,7 @@ __all__ = [
     "antidominant_orbit_rep",
     "antidominant_rep",
     "bruhat_leq",
+    "check_element_jsonable",
     "coxeter_order",
     "element_from_jsonable",
     "element_sort_key",
@@ -325,8 +326,7 @@ def length(x: AffineWeylElement) -> int:
     2000000
     """
     if x._length is None:
-        lam = x.translation
-        simple = [(-sum(map(mul, lam, step.dual)), step.height) for step in x.finite._steps[1:]]
+        simple = _root_pairs(x)[1:]
         images, total = [], 0
         for p, k in x.system.root_chain:
             level, height = simple[k]
@@ -548,16 +548,23 @@ def element_to_jsonable(x: AffineWeylElement) -> dict:
     }
 
 
+def check_element_jsonable(system: RootSystem, data) -> None:
+    """ValueError unless data is {"lambda": [rank ints], "word": [letters 1..rank]}.
+
+    The keys come in that order; a JSON string, float or bool is no int.
+    """
+    if not (type(data) is dict and list(data) == ["lambda", "word"]
+            and type(data["lambda"]) is list and type(data["word"]) is list
+            and all(type(c) is int for c in data["lambda"] + data["word"])):
+        raise ValueError(f"malformed element {data!r}")
+    if len(data["lambda"]) != system.rank:
+        raise ValueError(f"lambda of length {len(data['lambda'])} for rank {system.rank}")
+    if any(not 1 <= i <= system.rank for i in data["word"]):
+        raise ValueError(f"finite-part word {data['word']} has letters outside 1..{system.rank}")
+
+
 def element_from_jsonable(system: RootSystem, data: dict) -> AffineWeylElement:
     """Inverse of :func:`element_to_jsonable`; ValueError on any other shape."""
-    try:
-        lam = tuple(int(c) for c in data["lambda"])
-        word = [int(i) for i in data["word"]]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed element {data!r}") from exc
-    if len(lam) != system.rank:
-        raise ValueError(f"lambda of length {len(lam)} for rank {system.rank}")
-    if any(not 1 <= i <= system.rank for i in word):
-        raise ValueError(f"finite-part word {word} has letters outside 1..{system.rank}")
+    check_element_jsonable(system, data)
     # t^lam u: the translation as read, with u walked once along its word
-    return AffineWeylElement(system, lam, from_word(system, word).finite)
+    return AffineWeylElement(system, tuple(data["lambda"]), from_word(system, data["word"]).finite)

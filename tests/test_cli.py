@@ -95,6 +95,10 @@ def test_enumerate_stale_hash_regenerates(tmp_path, capsys):
 @pytest.mark.parametrize("elements", [
     [[42]], [["x"]], 5, [5], [[{"lambda": [0, 0], "word": 5}]],
     [[{"lambda": 5, "word": []}]], [[{"lambda": [0, "a"], "word": []}]],
+    [], [[{"lambda": [0, 0], "word": []}]],
+    *([[{"lambda": [0, 0], "word": []}], [], [junk]] for junk in (
+        42, {"word": [], "lambda": [0, 0]}, {"lambda": [0, 0], "word": [3]},
+        {"lambda": ["0", 0], "word": []}, {"lambda": [0, 0], "word": [], "extra": 1})),
 ])
 def test_enumerate_malformed_elements_with_matching_hash_regenerate(
         tmp_path, capsys, elements):
@@ -127,6 +131,39 @@ def test_indented_cache_still_hits(tmp_path, capsys):
     assert (code, err) == (EXIT_OK, "")
     assert out2 == out1
     assert cache_file.read_text() == indented  # a hit: the file was not rewritten
+
+
+def test_warm_enumerate_builds_no_element(tmp_path, capsys, monkeypatch):
+    argv = ("enumerate", "--type", "C", "--rank", "2", "--max-length", "3",
+            "--cache", str(tmp_path))
+    _, out1, _ = run(capsys, *argv)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cache hit built an element")
+
+    monkeypatch.setattr(weyl, "from_word", forbidden)
+    monkeypatch.setattr(weyl, "element_from_jsonable", forbidden)
+    code, out2, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out2 == out1
+
+
+def test_cold_enumerate_serializes_each_element_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_jsonable = weyl.element_to_jsonable
+
+    def counted(x):
+        calls.append(x)
+        return to_jsonable(x)
+
+    monkeypatch.setattr(weyl, "element_to_jsonable", counted)
+    code, out, _ = run(capsys, "enumerate", "--type", "C", "--rank", "2",
+                       "--max-length", "3", "--cache", str(tmp_path))
+    assert code == EXIT_OK
+    ball = [x for shell in weyl.enumerate_ball(cli.build_root_system("C", 2), 3)
+            for x in shell]
+    assert sum(g["count"] for g in json.loads(out)) == len(ball)
+    assert len(calls) == len(ball) and set(calls) == set(ball)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -645,6 +645,8 @@ def test_element_json_validation():
     with pytest.raises(ValueError, match="letters"):
         element_from_jsonable(A2, {"lambda": [0, 0], "word": [0]})
     for junk in (42, "x", [], {"lambda": [0, 0]}, {"lambda": 5, "word": []},
-                 {"lambda": [0, 0], "word": 5}, {"lambda": [0, 0], "word": [None]}):
+                 {"lambda": [0, 0], "word": 5}, {"lambda": [0, 0], "word": [None]},
+                 {"lambda": ["0", 0], "word": []}, {"lambda": [0.0, 0], "word": []},
+                 {"lambda": [0, 0], "word": [True]}):
         with pytest.raises(ValueError, match="malformed"):
             element_from_jsonable(A2, junk)

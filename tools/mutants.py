@@ -108,6 +108,14 @@ MUTANTS = {
         (KMODULE, "SchubertVector._from_canonical(h.system, h.ring, dict(h.terms))",
          "SchubertVector._from_canonical(h.system, h.ring, h.terms)", 1),
     ],
+    # the ball cache: a hit serves the stored element JSON
+    "cache-hit-skips-element-check": [
+        (CLI, "                for shell in shells:\n                    for e in shell:\n"
+              "                        weyl.check_element_jsonable(system, e)\n", "", 1),
+    ],
+    "cache-accepts-any-shell-count": [
+        (CLI, "                and len(shells) == n + 1\n", "", 1),
+    ],
     # interned finite parts
     "one-part-table-for-all-systems": [
         (WEYL, "_FINITE_PARTS.setdefault(system, {})", "_FINITE_PARTS.setdefault(system.rank, {})", 1),
