@@ -475,9 +475,11 @@ def check_specialize(
     rng = rng or random.Random(0)
     report = CheckReport("specialize")
     ring = torus_ring(system, p)
-    ball = _flat_ball(system, key_bound, max_elements)
-    ops = _flat_ball(system, 3, max_elements)
-    field = PrimeField(p)
+    field = ring.field
+    # keys up to length key_bound, operators up to length 3, from one ball
+    shells = weyl.enumerate_ball(system, max(key_bound, 3), max_elements)
+    ball = [x for shell in shells[:key_bound + 1] for x in shell]
+    ops = [x for shell in shells[:4] for x in shell]
     for _ in range(n_instances):
         report.count()
         v = _random_vector(system, ring, ball, rng)

@@ -156,8 +156,8 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
                     for e in shell:
                         weyl.check_element_jsonable(system, e)
                 return shells, path
-        except (OSError, ValueError):
-            pass  # stale or corrupt cache regenerates silently
+        except (OSError, ValueError, RecursionError):
+            pass  # stale or corrupt (or too deeply nested) cache regenerates silently
     ball = weyl.enumerate_ball(system, n, max_elements=max_elements)
     shells = [[weyl.element_to_jsonable(x) for x in shell] for shell in ball]
     body = {**head, "elements": shells}

@@ -130,22 +130,22 @@ class SparseElement:
     """A finitely supported map from keys to coefficients, never storing zero.
 
     The common shape of the torus group ring, the dominant monoid ring, the
-    Hecke algebra and the Schubert-class modules.  A subclass names its two
-    parameters in ``_params`` and is built as ``Cls(param, param, terms)``;
-    two values add, and compare equal, only when they share class and
-    parameters.  It canonicalizes and validates keys in ``_key``, orders
-    them by ``_sort_key`` and formats one term in ``_term_repr``; the
-    integer rings also reduce coefficients mod p in ``_reduce``.  Since
-    zeros are pruned, equality is dict equality.
+    Hecke algebra and the Schubert-class modules.  Every value holds its two
+    parameters in the slots ``_first`` and ``_second``, which a subclass
+    binds to public names (``p, nvars = SparseElement._first,
+    SparseElement._second``); it is built as ``Cls(first, second, terms)``.
+    Building, copying and comparing a value read and write those two slots
+    directly, with no lookup by name.  Two values add, and compare equal,
+    only when they share class and parameters.  A subclass canonicalizes and
+    validates keys in ``_key``, orders them by ``_sort_key`` and formats one
+    term in ``_term_repr``; the integer rings also reduce coefficients mod p
+    in ``_reduce``.  Since zeros are pruned, equality is dict equality.
     """
 
-    __slots__ = ("terms",)
-    _params: tuple[str, str]
+    __slots__ = ("_first", "_second", "terms")
 
     def __init__(self, first, second, terms: Mapping | None = None):
-        a, b = self._params
-        setattr(self, a, first)
-        setattr(self, b, second)
+        self._first, self._second = first, second
         self.terms = {}
         for key, c in (terms or {}).items():
             self.add_term(self._key(key), c)
@@ -157,32 +157,23 @@ class SparseElement:
     def _sort_key(key):
         return key
 
-    def _param_values(self) -> tuple:
-        a, b = self._params
-        return getattr(self, a), getattr(self, b)
-
     @classmethod
     def _from_canonical(cls, first, second, terms: dict):
         """A value from canonical terms, which are not validated again."""
         out = object.__new__(cls)
-        a, b = cls._params
-        setattr(out, a, first)
-        setattr(out, b, second)
-        out.terms = terms
+        out._first, out._second, out.terms = first, second, terms
         return out
 
     def _like(self, terms: dict):
         """A value with self's parameters and the given canonical terms."""
-        return self._from_canonical(*self._param_values(), terms)
+        return self._from_canonical(self._first, self._second, terms)
 
     def _check(self, other):
         if type(other) is not type(self):
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if self._param_values() != other._param_values():
-            raise ValueError(
-                f"mixed {type(self).__name__} parameters "
-                f"{self._param_values()} and {other._param_values()}"
-            )
+        mine, theirs = (self._first, self._second), (other._first, other._second)
+        if mine != theirs:
+            raise ValueError(f"mixed {type(self).__name__} parameters {mine} and {theirs}")
 
     def add_term(self, key, c) -> None:
         """Add c to the coefficient of a canonical key in place, pruning zero.
@@ -225,7 +216,7 @@ class SparseElement:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self._param_values() == other._param_values()
+            and (self._first, self._second) == (other._first, other._second)
             and self.terms == other.terms
         )
 
@@ -290,7 +281,8 @@ class GroupRingElement(_ModPRing):
     root.  Multiplication convolves exponents additively.
     """
 
-    __slots__ = _params = ("p", "nvars")
+    __slots__ = ()
+    p, nvars = SparseElement._first, SparseElement._second
 
     def _key(self, exp):
         exp = tuple(int(e) for e in exp)
@@ -405,7 +397,8 @@ class DominantMonoidElement(_ModPRing):
     because the dominant coweights form a monoid.
     """
 
-    __slots__ = _params = ("system", "p")
+    __slots__ = ()
+    system, p = SparseElement._first, SparseElement._second
 
     def __init__(self, system: RootSystem, p: int, terms: Mapping | None = None):
         super().__init__(system, _check_prime(p), terms)

@@ -31,7 +31,8 @@ BASIS_DIRECTIONS = ("y_to_ytilde", "ytilde_to_y")
 class HeckeElement(SparseElement):
     """A sparse algebra element over an explicit coefficient ring."""
 
-    __slots__ = _params = ("system", "ring")
+    __slots__ = ()
+    system, ring = SparseElement._first, SparseElement._second
     _sort_key = staticmethod(weyl.element_sort_key)
 
     def _key(self, w):

@@ -28,7 +28,8 @@ from .weyl import AffineWeylElement
 class SchubertVector(SparseElement):
     """A sparse vector over the Schubert-class basis of the full flag module."""
 
-    __slots__ = _params = ("system", "ring")
+    __slots__ = ()
+    system, ring = SparseElement._first, SparseElement._second
     _sort_key = staticmethod(weyl.element_sort_key)
 
     def _key(self, w):
@@ -126,7 +127,7 @@ def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
     """
     if v.system is not h.system:
         raise ValueError("module and algebra over different root systems")
-    if v.ring != h.ring and not (isinstance(v.ring, TorusRing) and h.ring == v.ring.field):
+    if h.ring not in (v.ring, v.ring.field):
         raise ValueError(
             f"cannot act with coefficients in {h.ring!r} on a module over {v.ring!r}"
         )
@@ -161,7 +162,8 @@ class GrassmannianVector(SparseElement):
     orbit, which is the minimal-length labeling of the underlying coset.
     """
 
-    __slots__ = _params = ("system", "ring")
+    __slots__ = ()
+    system, ring = SparseElement._first, SparseElement._second
 
     def _key(self, lam):
         return weyl.antidominant_orbit_rep(self.system, tuple(lam))

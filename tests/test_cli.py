@@ -66,15 +66,18 @@ def test_enumerate_corrupt_cache_regenerates(tmp_path, capsys):
     assert data["maxlen"] == 2 and "hash" in data
 
 
-@pytest.mark.parametrize("junk", ["[]", "null", "42", '"text"'])
+# json.loads raises RecursionError, not ValueError, on the deeply nested one
+@pytest.mark.parametrize("junk", [
+    "[]", "null", "42", '"text"', pytest.param("[" * 200_000, id="deeply-nested"),
+])
 def test_enumerate_non_object_cache_regenerates(tmp_path, capsys, junk):
     argv = ("enumerate", "--type", "A", "--rank", "2", "--max-length", "2",
             "--cache", str(tmp_path))
     _, out1, _ = run(capsys, *argv)
     (cache_file,) = tmp_path.glob("ball-A2-N2.json")
-    cache_file.write_text(junk)  # valid JSON, but not an object
-    code, out2, _ = run(capsys, *argv)
-    assert code == EXIT_OK
+    cache_file.write_text(junk)  # not a JSON object
+    code, out2, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
     assert out2 == out1
     data = json.loads(cache_file.read_text())
     assert data["maxlen"] == 2 and "hash" in data

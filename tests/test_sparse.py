@@ -2,7 +2,8 @@
 
 One case per class pins its repr, its JSON form, the errors raised when
 values of different parameters or types meet, and that values are
-unhashable.
+unhashable; a second test per class pins that unvalidated copies keep
+both parameters and that equality reads both.
 """
 
 import pytest
@@ -101,6 +102,36 @@ def test_sparse_surface(name):
         value + 1
     with pytest.raises(TypeError):
         hash(value)
+
+
+# a second value of each parameter, for twins that differ in exactly one
+OTHER_PARAMS = {
+    "GroupRingElement": (5, 4),
+    "DominantMonoidElement": (C2, 5),
+    "HeckeElement": (C2, PrimeField(5)),
+    "SchubertVector": (C2, GF3),
+    "GrassmannianVector": (C2, T3),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sparse_copies_keep_params_and_equality_reads_both(name):
+    build, params, _, _ = CASES[name]
+    value, _, _ = build()
+    cls = type(value)
+    first, second = (getattr(value, n) for n in params)
+    terms = dict(value.terms)
+    copy, like = cls._from_canonical(first, second, dict(terms)), value._like(terms)
+    for v in (copy, like):
+        assert type(v) is cls
+        assert getattr(v, params[0]) is first and getattr(v, params[1]) is second
+        assert v == value
+    assert like.terms is terms
+    other_first, other_second = OTHER_PARAMS[name]
+    for a, b in ((other_first, second), (first, other_second)):
+        twin = cls._from_canonical(a, b, dict(terms))
+        assert twin.terms == value.terms
+        assert twin != value and value != twin
 
 
 

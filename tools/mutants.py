@@ -108,6 +108,11 @@ MUTANTS = {
         (KMODULE, "SchubertVector._from_canonical(h.system, h.ring, dict(h.terms))",
          "SchubertVector._from_canonical(h.system, h.ring, h.terms)", 1),
     ],
+    # sparse values: parameters in two direct slots
+    "sparse-eq-skips-second-param": [
+        (COEFFS, "and (self._first, self._second) == (other._first, other._second)",
+         "and self._first == other._first", 1),
+    ],
     # the ball cache: a hit serves the stored element JSON
     "cache-hit-skips-element-check": [
         (CLI, "                for shell in shells:\n                    for e in shell:\n"
