@@ -147,14 +147,9 @@ def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
 
 
 def _part_word(system: RootSystem, u: FinitePart) -> tuple[int, ...]:
-    """The canonical word of u, set on first use.
-
-    With j the smallest right descent of u (u(alpha_j) < 0), it is the word
-    of the canonical parent u s_j followed by j; the identity's is empty.
-    """
+    """The canonical word of u, peeled once from t^0 u and kept on u."""
     if u._word is None:
-        j = next((j for j, step in enumerate(u._steps) if j and step.height < 0), 0)
-        u._word = _part_word(system, _times_generator(system, u, j)) + (j,) if j else ()
+        u._word = reduced_word(AffineWeylElement(system, (0,) * system.rank, u))
     return u._word
 
 

@@ -1,5 +1,6 @@
 """The property-check suites: green runs, determinism, mutation detection."""
 
+import itertools
 import random
 
 import pytest
@@ -328,6 +329,63 @@ def test_int_walk_matches_element_walk_at_depth(monkeypatch, lie_type, rank, pai
     assert words.failures == _ref_words(system, pair_bound, 6)
     assert braid.failures == _ref_braid(system, 6)
     assert compose.failures and words.failures and braid.failures
+
+
+def _ref_xi(system, p, exhaustive_bound):
+    # the per-pair path: Y_u Y_v relabelled against u's class acted on by Y_v
+    records, ring, js = [], torus_ring(system, p), kmodule.schubert_to_jsonable
+    ball = _ball(system, exhaustive_bound)
+    for u in ball:
+        for v in ball:
+            yu, yv = hecke.basis_y(u, ring), hecke.basis_y(v, ring)
+            lhs = kmodule.schubert_from_hecke(hecke.multiply_hecke(yu, yv))
+            rhs = kmodule.hecke_act(kmodule.schubert_from_hecke(yu), yv)
+            if lhs != rhs:
+                records.append({"u": _word(u), "v": _word(v), "lhs": js(lhs), "rhs": js(rhs)})
+    return records
+
+
+@pytest.mark.parametrize(
+    "mutation,bites",
+    [(_TRUE_RULE, False), (_flip_descent_branch, True), (_swap_branches, True),
+     (_stall_length_three, True)],
+)
+@pytest.mark.parametrize("lie_type", ["A", "C", "G"])
+def test_xi_columns_match_the_per_pair_product(monkeypatch, lie_type, mutation, bites):
+    system = build_root_system(lie_type, 2)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", mutation)
+    xi = checks.check_xi(system, 3, exhaustive_bound=4, n_random=0)
+    assert xi.failures == _ref_xi(system, 3, 4)
+    assert bool(xi.failures) == bites
+
+
+def _ref_subword_oracle(u, w):
+    # the position-set search: some l(u) letters of w's canonical word give u
+    word = weyl.reduced_word(w)
+    return any(weyl.from_word(u.system, [word[k] for k in positions]) == u
+               for positions in itertools.combinations(range(len(word)), weyl.length(u)))
+
+
+@pytest.mark.parametrize("lie_type", ["A", "G"])
+def test_subword_sets_match_the_position_search(lie_type):
+    ball = _ball(build_root_system(lie_type, 2), 4)
+    for u in ball:
+        for w in ball:
+            assert checks.bruhat_subword_oracle(u, w) == _ref_subword_oracle(u, w), (u, w)
+
+
+def test_bruhat_oracle_records_match_the_position_search(monkeypatch):
+    true_leq = weyl.bruhat_leq
+    # the order answers wrongly on every pair of total length three
+    monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: true_leq(u, w) != (
+        weyl.length(u) + weyl.length(w) == 3))
+    for system in (A2, build_root_system("G", 2)):
+        ball = _ball(system, 4)
+        records = [{"u": _word(u), "w": _word(w), "recursion": weyl.bruhat_leq(u, w)}
+                   for u in ball for w in ball
+                   if weyl.bruhat_leq(u, w) != _ref_subword_oracle(u, w)]
+        report = checks.check_bruhat_oracle(system, max_len=4)
+        assert report.failures == records and records
 
 
 def test_no_class_table_outlives_its_suite_call(monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zerohecke import weyl
+from zerohecke import checks, weyl
 from zerohecke.coeffs import PrimeField, monoid_monomial, monoid_unit, torus_ring
 from zerohecke.hecke import (
     HeckeElement,
@@ -173,6 +173,24 @@ def test_demazure_product_matches_the_element_walk(system):
             product = demazure_product(w, x)
             assert product == reference_demazure_product(w, x), (w, x)
             assert product.finite is reference_demazure_product(w, x).finite
+
+
+@pytest.mark.parametrize(
+    "system,n",
+    [(A1, 6), (A2, 4), (C2, 4), (build_root_system("G", 2), 4), (build_root_system("A", 3), 3)],
+    ids=repr,
+)
+def test_demazure_product_is_the_longest_subword_product(system, n):
+    # the product by a maximum, not by the greedy letters: every subword of
+    # u's canonical word followed by v's multiplies to something below it
+    ball = flat_ball(system, n)
+    for u in ball:
+        for v in ball:
+            products = checks._subword_products(
+                system, weyl.reduced_word(u) + weyl.reduced_word(v))
+            top = max(map(weyl.length, products))
+            (longest,) = [x for x in products if weyl.length(x) == top]
+            assert demazure_product(u, v) == longest, (u, v)
 
 
 def test_demazure_product_returns_w_when_nothing_goes_up():

@@ -29,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WEYL, ROOTDATA = "src/zerohecke/weyl.py", "src/zerohecke/rootdata.py"
 CHECKS, KMODULE, CLI = "src/zerohecke/checks.py", "src/zerohecke/kmodule.py", "src/zerohecke/cli.py"
-COEFFS = "src/zerohecke/coeffs.py"
+COEFFS, HECKE = "src/zerohecke/coeffs.py", "src/zerohecke/hecke.py"
 # the acceptance suites run last: the unit tests kill most mutants within
 # seconds, before a mutant that makes the suites run away meets the timeout
 TESTS = sorted((str(path.relative_to(ROOT)) for path in (ROOT / "tests").glob("test_*.py")),
@@ -45,17 +45,20 @@ MUTANTS = {
     # class tables and the live Demazure rule
     "class-table-shared-across-calls": [
         (CHECKS, "table = _ClassTable(system)",
-         "table = _SHARED.setdefault(system, _ClassTable(system))", 3),
+         "table = _SHARED.setdefault(system, _ClassTable(system))", 4),
         (CHECKS, "def _wordstr(x) -> list:", "_SHARED = {}\n\n\ndef _wordstr(x) -> list:", 1),
     ],
     "class-record-lhs-rhs-swapped": [
-        (CHECKS, '"lhs": table.word(left[n]), "rhs": table.word(right[n])}',
-         '"lhs": table.word(right[n]), "rhs": table.word(left[n])}', 1),
+        (CHECKS, '"lhs": _wordstr(elements[left[n]]),\n',
+         '"lhs": _wordstr(elements[right[n]]),\n', 1),
+        (CHECKS, '"rhs": _wordstr(elements[right[n]])}',
+         '"rhs": _wordstr(elements[left[n]])}', 1),
     ],
     "class-records-stop-at-first-difference": [
-        (CHECKS, '"rhs": table.word(right[n])})\n',
-         '"rhs": table.word(right[n])})\n                return\n', 1),
+        (CHECKS, '"rhs": _wordstr(elements[right[n]])})\n',
+         '"rhs": _wordstr(elements[right[n]])})\n                return\n', 1),
     ],
+    # the canonical-word tree that compose and xi share
     "compose-column-steps-first-letter": [
         (CHECKS, "table.walk(columns[wx[:-1]], wx[-1:])", "table.walk(columns[wx[:-1]], wx[:1])", 1),
     ],
@@ -137,11 +140,6 @@ MUTANTS = {
         (WEYL, "reversed(_part_word(system, self.finite))",
          "reversed(_part_word(system, self.finite)[1:])", 1),
     ],
-    "part-word-peels-largest-descent": [
-        (WEYL, "j = next((j for j, step in enumerate(u._steps) if j and step.height < 0), 0)",
-         "j = next((j for j, step in reversed(list(enumerate(u._steps)))"
-         " if j and step.height < 0), 0)", 1),
-    ],
     # step records and the rank-one update
     "identity-records-untransposed": [
         (WEYL, "_Step(tuple(row[i] for row in affine[1:]), 1, None)",
@@ -194,6 +192,10 @@ MUTANTS = {
     "graph-keeps-non-covers": [
         (CLI, "for u in deletions if u in below]", "for u in deletions]", 1),
     ],
+    "subword-set-skips-last-letter": [
+        (CHECKS, "for q in letters:\n        products |=",
+         "for q in letters[:-1]:\n        products |=", 1),
+    ],
     "length-sign-on-negative-images": [
         (WEYL, "abs(level - 1) if height < 0", "abs(level + 1) if height < 0", 1),
     ],
@@ -207,6 +209,11 @@ MUTANTS = {
     "peel-skips-height-update": [
         (WEYL, "pairs[k] = (pairs[k][0] - a * level, pairs[k][1] - a * height)",
          "pairs[k] = (pairs[k][0] - a * level, pairs[k][1])", 1),
+    ],
+    # the greedy product, a path of its own beside the Demazure walk
+    "demazure-product-steps-on-a-descent": [
+        (HECKE, "if not weyl._descends(lam, u, i):",
+         "if not moved or not weyl._descends(lam, u, i):", 1),
     ],
 }
 
