@@ -126,10 +126,14 @@ def embed_dominant(m: DominantMonoidElement) -> HeckeElement:
     )
 
 
-def to_jsonable(h: HeckeElement, basis: str = "Y") -> list:
-    """Terms sorted by (length, canonical word); basis selects the labels."""
+def _check_basis(basis: str) -> None:
     if basis not in ("Y", "Ytilde"):
         raise ValueError(f"basis must be 'Y' or 'Ytilde', got {basis!r}")
+
+
+def to_jsonable(h: HeckeElement, basis: str = "Y") -> list:
+    """Terms sorted by (length, canonical word); basis selects the labels."""
+    _check_basis(basis)
     src = h if basis == "Y" else convert_basis(h, "y_to_ytilde")
     return [
         {"elem": weyl.element_to_jsonable(w), "coeff": c.to_jsonable()}
@@ -140,6 +144,8 @@ def to_jsonable(h: HeckeElement, basis: str = "Y") -> list:
 def from_jsonable(
     system: RootSystem, ring: Ring, data: list, basis: str = "Y"
 ) -> HeckeElement:
+    """Inverse of :func:`to_jsonable`, with the same basis labels."""
+    _check_basis(basis)
     terms = {
         weyl.element_from_jsonable(system, t["elem"]): ring.coeff_from_jsonable(t["coeff"])
         for t in data

@@ -326,9 +326,60 @@ def test_int_walk_matches_element_walk_at_depth(monkeypatch, lie_type, rank, pai
     words = checks.check_words(system, 3, word_bound=pair_bound, basis_bound=6, n_random=0)
     braid = checks.check_braid(system, 3, basis_bound=6, n_random=0)
     assert compose.failures == _ref_compose(system, pair_bound, 6)
-    assert words.failures == _ref_words(system, pair_bound, 6)
+    reference = _ref_words(system, pair_bound, 6)
+    assert words.failures == _at_descent_edges(system, reference)
+    assert bool(words.failures) == bool(reference)
     assert braid.failures == _ref_braid(system, 6)
     assert compose.failures and words.failures and braid.failures
+
+
+def _at_descent_edges(system, records):
+    # the per-word records whose word is canon(y s_j) + (j,) for a right
+    # descent j of the element y other than its smallest: one per DAG edge
+    def edge_words(element):
+        y = weyl.from_word(system, element)
+        descents = [j for j in range(system.rank + 1) if weyl.is_right_descent(y, j)]
+        return [_word(y * weyl.generator(system, j)) + [j] for j in descents[1:]]
+
+    return [record for record in records if record["word"] in edge_words(record["element"])]
+
+
+@pytest.mark.parametrize("mutation", [_stall_length_three, _pin_identity, _flip_descent_branch])
+def test_words_records_at_three_descents(monkeypatch, mutation):
+    # affine B3's generators 0, 1 and 3 commute: s0 s1 s3 has three right
+    # descents, so the suite compares two DAG edges there, not one
+    system = build_root_system("B", 3)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", mutation)
+    words = checks.check_words(system, 3, word_bound=3, basis_bound=3, n_random=0)
+    reference = _ref_words(system, 3, 3)
+    assert words.failures == _at_descent_edges(system, reference)
+    assert bool(words.failures) == bool(reference)
+    if mutation is _stall_length_three:
+        assert any(r["element"] == [3, 1, 0] and r["word"][-1] == 3 for r in words.failures)
+
+
+def test_words_exhaustive_layer_enumerates_no_reduced_words(monkeypatch):
+    calls = []
+    true_all = weyl.all_reduced_words
+    monkeypatch.setattr(weyl, "all_reduced_words",
+                        lambda *args, **kwargs: calls.append(args) or true_all(*args, **kwargs))
+    assert checks.check_words(A2, 3, word_bound=5, basis_bound=5, n_random=0).passed
+    assert not calls
+    assert checks.check_words(A2, 3, word_bound=3, basis_bound=3, n_random=1).passed
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,word_bound", [("A", 2, 5), ("C", 2, 5), ("G", 2, 5), ("A", 3, 4)]
+)
+def test_words_count_is_the_reduced_word_count(lie_type, rank, word_bound):
+    # the path-count DP over the weak-order DAG against the enumerator
+    system = build_root_system(lie_type, rank)
+    report = checks.check_words(system, 3, word_bound=word_bound, basis_bound=3, n_random=0)
+    others = sum(len(weyl.all_reduced_words(x, max_length=word_bound)) - 1
+                 for x in _ball(system, word_bound))
+    assert report.passed
+    assert report.instance_count == len(_ball(system, 3)) * others
 
 
 def _ref_xi(system, p, exhaustive_bound):

@@ -274,3 +274,16 @@ def test_hecke_json_sorted_by_length_then_word():
     ]
     assert keys == sorted(keys)
     assert len(words) == len(lambdas) == 3
+
+
+@pytest.mark.parametrize("basis", ["ytilde", "y", "X", ""])
+def test_json_rejects_an_unknown_basis_both_ways(basis):
+    # an unknown label is an error on the way in as on the way out, never read as Y
+    gf5 = PrimeField(5)
+    h = basis_y(weyl.generator(A1, 0), gf5)
+    data = to_jsonable(h, basis="Ytilde")
+    with pytest.raises(ValueError, match="basis must be 'Y' or 'Ytilde'"):
+        to_jsonable(h, basis=basis)
+    with pytest.raises(ValueError, match="basis must be 'Y' or 'Ytilde'"):
+        from_jsonable(A1, gf5, data, basis=basis)
+    assert from_jsonable(A1, gf5, data, basis="Ytilde") == h

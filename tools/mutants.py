@@ -58,9 +58,16 @@ MUTANTS = {
         (CHECKS, '"rhs": _wordstr(elements[right[n]])})\n',
          '"rhs": _wordstr(elements[right[n]])})\n                return\n', 1),
     ],
-    # the canonical-word tree that compose and xi share
+    # the canonical-word tree that compose, xi and words share
     "compose-column-steps-first-letter": [
         (CHECKS, "table.walk(columns[wx[:-1]], wx[-1:])", "table.walk(columns[wx[:-1]], wx[:1])", 1),
+    ],
+    # words on the weak-order DAG: every descent edge, and paths summed over all of them
+    "words-compares-one-descent-pair": [
+        (CHECKS, "for j, w in below[1:]]", "for j, w in below[1:2]]", 1),
+    ],
+    "words-paths-over-one-descent": [
+        (CHECKS, "sum(paths[w] for _, w in below)", "sum(paths[w] for _, w in below[:1])", 1),
     ],
     "vector-walk-compares-first-case-only": [
         (CHECKS, "for inputs, letters in cases:\n        right = kmodule.",
