@@ -14,11 +14,12 @@ mutation-sanity tests do) corrupts the suites' subject and must surface
 as failures.  The compose, xi and words suites walk their columns along
 the canonical-word tree of a pool (:func:`_tree_columns`), each from its
 parent's in one step; xi reads entry u of v's column against the Demazure
-product, and words steps a column one letter along each other edge of the
-weak-order DAG.  The braid, words and compose suites record failures only
-through :func:`_class_records` and :func:`_same_vectors`: the inputs, then
-``basis`` or ``vector``, then ``lhs``, ``rhs``.  Bruhat lower intervals are
-subword sets.
+product, and words reads its count, its exhaustive edges and its random
+layer's reduced words off one weak-order DAG of one ball, stepping a column
+one letter along each other edge.  The braid, words and compose suites
+record failures only through :func:`_class_records` and
+:func:`_same_vectors`: the inputs, then ``basis`` or ``vector``, then
+``lhs``, ``rhs``.  Bruhat lower intervals are subword sets.
 """
 
 from __future__ import annotations
@@ -247,40 +248,42 @@ def check_words(
     walks ``ids`` to one column iff, for each right descent j of y but the
     smallest, i0, canon(y s_j)'s column walked by j is that of
     canon(y) = canon(y s_i0) + (i0,): by induction on l(y), for any rule,
-    as a reduced word of y ends in a descent j after one of y s_j.  Each y
-    counts len(ids) * (paths(y) - 1) instances, paths(y) being its number
-    of reduced words: 1 at e, else the sum of paths(y s_j) over its
-    descents j.  The random layer draws vectors per element and walks each
-    along every reduced word, which the induction does not cover.
+    as a reduced word of y ends in a descent j after one of y s_j.  A DP
+    over the same edges lists y's reduced words in the order of
+    ``weyl.all_reduced_words``: words(e) = [()], else w + (j,) for each
+    descent j ascending and each w in words(y s_j), so canon(y) comes
+    first.  Each y counts len(ids) * (len(words(y)) - 1) instances.  The
+    random layer draws vectors per element and walks each along every
+    reduced word, which the induction does not cover.
     """
     rng = rng or random.Random(0)
     report = CheckReport("words")
     table = _ClassTable(system)
-    ball = _flat_ball(system, basis_bound, max_elements)
+    n = max(word_bound, basis_bound)
+    shells = weyl.enumerate_ball(system, n, max_elements)
+    ball = [x for shell in shells[:basis_bound + 1] for x in shell]
     ids = [table.intern(w) for w in ball]
     ring = torus_ring(system, p)
-    pool = _flat_ball(system, word_bound, max_elements)
+    pool = [x for shell in shells[:word_bound + 1] for x in shell]
     columns = _tree_columns(table, ids, pool)
     canon = {x: weyl.reduced_word(x) for x in pool}
-    paths = {(): 1}
+    words = {(): [()]}
     for y in pool[1:]:
         wy = canon[y]
         # (j, canon(y s_j)) for each right descent j; the first is wy's parent
         below = [(j, canon[weyl._mul_gen(y, j)])
                  for j in range(system.rank + 1) if weyl.is_right_descent(y, j)]
-        n = paths[wy] = sum(paths[w] for _, w in below)
-        report.count(len(ids) * (n - 1))
+        ref, *others = words[wy] = [w + (j,) for j, wb in below for w in words[wb]]
+        report.count(len(ids) * len(others))
         left = columns[wy]
         rights = [({"element": list(wy), "word": list(w + (j,)), "reference_word": list(wy)},
                    table.walk(columns[w], (j,))) for j, w in below[1:]]
         if any(right != left for _, right in rights):
             _class_records(report, table, ids, left, rights)
-        if n > 1 and n_random:
-            ref, *others = weyl.all_reduced_words(y, max_length=word_bound)
-            cases = [({"element": list(wy), "word": list(other), "reference_word": list(ref)},
-                      other) for other in others]
-            for _ in range(n_random):
-                _same_vectors(report, _random_vector(system, ring, ball, rng), ref, cases)
+        cases = [({"element": list(wy), "word": list(other), "reference_word": list(ref)},
+                  other) for other in others]
+        for _ in range(n_random if others else 0):
+            _same_vectors(report, _random_vector(system, ring, ball, rng), ref, cases)
     return report
 
 

@@ -379,6 +379,7 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
 def all_reduced_words(x: AffineWeylElement, max_length: int = 10) -> tuple[tuple[int, ...], ...]:
     """Every reduced word of x, by branching over right descents.
 
+    Each step down lowers the length by one, so only x's is computed.
     Guarded: the number of words grows quickly, so elements longer than
     ``max_length`` are rejected.
     """
@@ -390,8 +391,13 @@ def all_reduced_words(x: AffineWeylElement, max_length: int = 10) -> tuple[tuple
         )
     if not n:
         return ((),)
-    return tuple(w + (i,) for i in range(x.system.rank + 1) if is_right_descent(x, i)
-                 for w in all_reduced_words(_mul_gen(x, i), max_length))
+    words = []
+    for i in range(x.system.rank + 1):
+        if is_right_descent(x, i):
+            y = _mul_gen(x, i)
+            y._length = n - 1
+            words += [w + (i,) for w in all_reduced_words(y, max_length)]
+    return tuple(words)
 
 
 # -- Bruhat order --------------------------------------------------------

@@ -366,7 +366,19 @@ def test_words_exhaustive_layer_enumerates_no_reduced_words(monkeypatch):
     assert checks.check_words(A2, 3, word_bound=5, basis_bound=5, n_random=0).passed
     assert not calls
     assert checks.check_words(A2, 3, word_bound=3, basis_bound=3, n_random=1).passed
-    assert calls
+    assert not calls
+
+
+def test_words_enumerates_one_ball(monkeypatch):
+    # the word ball is a prefix of the basis ball, or the other way round
+    calls = []
+    true_ball = weyl.enumerate_ball
+    monkeypatch.setattr(weyl, "enumerate_ball",
+                        lambda *args, **kwargs: calls.append(args) or true_ball(*args, **kwargs))
+    for word_bound, basis_bound in ((3, 5), (5, 3)):
+        calls.clear()
+        assert checks.check_words(A2, 3, word_bound=word_bound, basis_bound=basis_bound).passed
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -440,6 +440,23 @@ def test_out_of_range_letter_anywhere_is_a_usage_error(capsys):
             assert err.startswith("error:") and "out of range" in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--max-length", "-1"),
+    ("compute", "--format", "dot", "len", "[0]"),
+    ("enumerate", "--format", "dot", "--max-length", "1"),
+    ("check", "braid", "--format", "dot", "--max-length", "1"),
+    ("compute", "len", "[a]"),
+    ("compute", "--rank", "2", "theta", "e{1}"),
+    ("compute", "hecke-mul", "Y[0]"),
+    ("compute", "hecke-mul", "Y[0]", "S[1]"),
+])
+def test_usage_errors_exit_two_on_one_line(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == EXIT_USAGE and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert "Traceback" not in err
+
+
 def test_unexpected_error_is_one_line_usage_exit(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("unexpected")

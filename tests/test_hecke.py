@@ -203,6 +203,19 @@ def test_demazure_product_returns_w_when_nothing_goes_up():
         assert demazure_product(w, x) is w
 
 
+@pytest.mark.parametrize("system", [A1, A2])
+@pytest.mark.parametrize("torus", [False, True])
+def test_product_operator_is_multiply_hecke(system, torus):
+    ring = torus_ring(system, 3) if torus else GF3
+    ball = flat_ball(system, 3)
+    for u in ball:
+        for v in ball:
+            a, b = basis_y(u, ring), basis_y(v, ring)
+            assert a * b == multiply_hecke(a, b)
+    with pytest.raises(TypeError):
+        basis_y(ball[-1], ring) * 2
+
+
 def test_multiply_rejects_mixed_parameters():
     with pytest.raises(ValueError, match="mixed"):
         multiply_hecke(hecke_unit(A2, GF3), hecke_unit(A2, PrimeField(5)))

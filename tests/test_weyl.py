@@ -407,6 +407,19 @@ def test_all_reduced_words_properties():
             assert from_word(A2, w) == x
 
 
+def test_all_reduced_words_reads_lengths_down_the_recursion(monkeypatch):
+    # each step down lowers the length by one, so a ball element, whose
+    # length the walk has set, needs no closed-form length below it
+    x = enumerate_ball(build_root_system("E", 6), 6)[6][-1]
+    assert len(all_reduced_words(x)) > 1
+    calls = []
+    true_pairs = weyl._root_pairs
+    monkeypatch.setattr(weyl, "_root_pairs", lambda y: calls.append(y) or true_pairs(y))
+    words = all_reduced_words(x)
+    assert not calls
+    assert all(from_word(x.system, w) == x and len(w) == 6 for w in words)
+
+
 def test_all_reduced_words_guard():
     x = from_word(A2, [0, 1, 2, 0, 1, 2])
     with pytest.raises(ResourceBoundError, match="guard"):

@@ -62,12 +62,17 @@ MUTANTS = {
     "compose-column-steps-first-letter": [
         (CHECKS, "table.walk(columns[wx[:-1]], wx[-1:])", "table.walk(columns[wx[:-1]], wx[:1])", 1),
     ],
-    # words on the weak-order DAG: every descent edge, and paths summed over all of them
+    # words on the weak-order DAG: every descent edge, and reduced words listed over all
+    # of them, whose list also gives the random layer its cases
     "words-compares-one-descent-pair": [
         (CHECKS, "for j, w in below[1:]]", "for j, w in below[1:2]]", 1),
     ],
     "words-paths-over-one-descent": [
-        (CHECKS, "sum(paths[w] for _, w in below)", "sum(paths[w] for _, w in below[:1])", 1),
+        (CHECKS, "for j, wb in below for w in words[wb]]",
+         "for j, wb in below[:1] for w in words[wb]]", 1),
+    ],
+    "words-random-layer-skips-last-word": [
+        (CHECKS, "other) for other in others]", "other) for other in others[:-1]]", 1),
     ],
     "vector-walk-compares-first-case-only": [
         (CHECKS, "for inputs, letters in cases:\n        right = kmodule.",
@@ -99,7 +104,7 @@ MUTANTS = {
          '"spherical", system, max_coord', 1),
     ],
     "suite-ball-ignores-max-elements": [
-        (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 2),
+        (CHECKS, "weyl.enumerate_ball(system, n, max_elements)", "weyl.enumerate_ball(system, n)", 3),
     ],
     # raw accumulation and unvalidated relabels
     "raw-sums-not-reduced": [
