@@ -26,15 +26,17 @@ operator first.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 from . import checks, hecke, kmodule, weyl
-from .coeffs import is_prime, torus_ring
+from .coeffs import is_prime, monoid_monomial, torus_ring
 from .rootdata import RootSystem, build_root_system
 from .weyl import ResourceBoundError
 
@@ -81,16 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Demazure operators, in exact arithmetic mod p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("enumerate", parents=[common],
-                   help="list the ball of elements of length <= N")
+    sub.add_parser("enumerate", parents=[common], help="list the ball of elements of length <= N"
+                   ).set_defaults(handler=cmd_enumerate)
     p_compute = sub.add_parser("compute", parents=[common],
                                help="evaluate one expression")
     p_compute.add_argument("expression", nargs="+",
                            help="operation and arguments, e.g. len [0,1]")
+    p_compute.set_defaults(handler=cmd_compute)
     p_check = sub.add_parser("check", parents=[common], help="run a property suite")
     p_check.add_argument("suite", choices=checks.SUITES + ("all",))
+    p_check.set_defaults(handler=cmd_check)
     sub.add_parser("graph", parents=[common],
-                   help="Bruhat Hasse diagram of the ball as DOT")
+                   help="Bruhat Hasse diagram of the ball as DOT").set_defaults(handler=cmd_graph)
     return parser
 
 
@@ -190,117 +194,93 @@ def cmd_enumerate(args) -> int:
 # -- expression language ------------------------------------------------------
 
 
-def _parse_int_list(body: str, token: str, pos: int) -> list[int]:
-    body = body.strip()
-    if not body:
-        return []
+# Operand kinds by bracket; a word names a group element, which the kind's
+# wrap (if any) turns into a basis element over the torus ring.
+_OPERANDS = (
+    ("Y[", "]", "hecke", hecke.basis_y),
+    ("S[", "]", "schubert", kmodule.basis_class),
+    ("e{", "}", "coweight", None),
+    ("[", "]", "element", None),
+)
+
+
+# what an operation reads besides its operands
+_Env = namedtuple("_Env", "system ring basis")
+
+
+def _parse_operand(env: _Env, token: str, pos: int):
+    where = f"parse error at token {pos} ({token!r})"
+    for opening, closing, kind, wrap in _OPERANDS:
+        if token.startswith(opening) and token.endswith(closing):
+            break
+    else:
+        raise UsageError(f"{where}: expected [..], e{{..}}, Y[..] or S[..]")
+    body = token[len(opening):-1].strip()
     try:
-        return [int(t) for t in body.split(",")]
+        values = [int(t) for t in body.split(",")] if body else []
     except ValueError:
-        raise UsageError(
-            f"parse error at token {pos} ({token!r}): expected comma-separated integers"
-        )
-
-
-def _parse_operand(system: RootSystem, p: int, token: str, pos: int):
-    ring = torus_ring(system, p)
+        raise UsageError(f"{where}: expected comma-separated integers")
+    if kind == "coweight":
+        if len(values) != env.system.rank:
+            raise UsageError(f"{where}: coweight needs {env.system.rank} coordinates")
+        return kind, tuple(values)
     try:
-        if token.startswith("Y[") and token.endswith("]"):
-            w = weyl.from_word(system, _parse_int_list(token[2:-1], token, pos))
-            return ("hecke", hecke.basis_y(w, ring))
-        if token.startswith("S[") and token.endswith("]"):
-            w = weyl.from_word(system, _parse_int_list(token[2:-1], token, pos))
-            return ("schubert", kmodule.basis_class(w, ring))
-        if token.startswith("e{") and token.endswith("}"):
-            coords = _parse_int_list(token[2:-1], token, pos)
-            if len(coords) != system.rank:
-                raise UsageError(
-                    f"parse error at token {pos} ({token!r}): coweight needs "
-                    f"{system.rank} coordinates"
-                )
-            return ("coweight", tuple(coords))
-        if token.startswith("[") and token.endswith("]"):
-            letters = _parse_int_list(token[1:-1], token, pos)
-            return ("element", weyl.from_word(system, letters))
+        w = weyl.from_word(env.system, values)
     except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"parse error at token {pos} ({token!r}): {exc}") from exc
-    raise UsageError(
-        f"parse error at token {pos} ({token!r}): expected [..], e{{..}}, Y[..] or S[..]"
-    )
+        raise UsageError(f"{where}: {exc}") from exc
+    return kind, wrap(w, env.ring) if wrap else w
 
 
-def _expect(kinds, operands, op):
-    if len(operands) != len(kinds) or any(
-        k != kind for (k, _), kind in zip(operands, kinds)
-    ):
-        got = ", ".join(k for k, _ in operands) or "nothing"
+def _dominant(system: RootSystem, lam):
+    """theta's precondition: lam is a dominant coweight."""
+    if not system.is_dominant(lam):
         raise UsageError(
-            f"operation {op!r} expects operands ({', '.join(kinds)}), got {got}"
-        )
-    return [v for _, v in operands]
+            f"precondition violated: theta needs a dominant coweight, got {list(lam)}")
+    return lam
+
+
+# name: (operand kinds, function of the environment and the operands giving the JSON
+# result); hecke-mul, the one variadic operation, is evaluated on its own
+_OPERATIONS = {
+    "mul": (("element", "element"), lambda env, x, y: weyl.element_to_jsonable(x * y)),
+    "inv": (("element",), lambda env, x: weyl.element_to_jsonable(x.inverse())),
+    "len": (("element",), lambda env, x: weyl.length(x)),
+    "word": (("element",), lambda env, x: list(weyl.reduced_word(x))),
+    "bruhat": (("element", "element"), lambda env, x, y: weyl.bruhat_leq(x, y)),
+    "theta": (("coweight",), lambda env, lam: hecke.to_jsonable(hecke.embed_dominant(
+        monoid_monomial(env.system, env.ring.p, _dominant(env.system, lam))), basis=env.basis)),
+    "xi": (("hecke",),
+           lambda env, h: kmodule.schubert_to_jsonable(kmodule.schubert_from_hecke(h))),
+    "xi-inv": (("schubert",), lambda env, v: hecke.to_jsonable(
+        kmodule.hecke_from_schubert(v), basis=env.basis)),
+    "demazure": (("schubert", "element"), lambda env, v, x: kmodule.schubert_to_jsonable(
+        kmodule.demazure_word_apply(v, x))),
+    "pullback": (("coweight",), lambda env, lam: kmodule.schubert_to_jsonable(
+        kmodule.grassmannian_pullback(kmodule.grassmannian_class(env.system, lam, env.ring)))),
+    "specialize": (("schubert",),
+                   lambda env, v: kmodule.schubert_to_jsonable(kmodule.specialize(v))),
+}
 
 
 def evaluate_expression(system: RootSystem, p: int, tokens: list[str], basis: str = "Y"):
     if not tokens:
         raise UsageError("empty expression")
-    op, raw_args = tokens[0], tokens[1:]
-    operands = [
-        _parse_operand(system, p, tok, i + 1) for i, tok in enumerate(raw_args)
-    ]
-    ring = torus_ring(system, p)
-
-    if op == "mul":
-        x, y = _expect(("element", "element"), operands, op)
-        return weyl.element_to_jsonable(x * y)
-    if op == "inv":
-        (x,) = _expect(("element",), operands, op)
-        return weyl.element_to_jsonable(x.inverse())
-    if op == "len":
-        (x,) = _expect(("element",), operands, op)
-        return weyl.length(x)
-    if op == "word":
-        (x,) = _expect(("element",), operands, op)
-        return list(weyl.reduced_word(x))
-    if op == "bruhat":
-        x, y = _expect(("element", "element"), operands, op)
-        return weyl.bruhat_leq(x, y)
+    op = tokens[0]
+    env = _Env(system, torus_ring(system, p), basis)
+    operands = [_parse_operand(env, tok, pos) for pos, tok in enumerate(tokens[1:], 1)]
+    kinds = tuple(kind for kind, _ in operands)
+    values = [value for _, value in operands]
     if op == "hecke-mul":
-        if len(operands) < 2 or any(k != "hecke" for k, _ in operands):
+        if len(kinds) < 2 or set(kinds) != {"hecke"}:
             raise UsageError("operation 'hecke-mul' expects two or more Y[..] operands")
-        acc = operands[0][1]
-        for _, h in operands[1:]:
-            acc = hecke.multiply_hecke(acc, h)
-        return hecke.to_jsonable(acc, basis=basis)
-    if op == "theta":
-        (lam,) = _expect(("coweight",), operands, op)
-        if not system.is_dominant(lam):
-            raise UsageError(
-                f"precondition violated: theta needs a dominant coweight, got {list(lam)}"
-            )
-        from .coeffs import monoid_monomial
-
-        return hecke.to_jsonable(
-            hecke.embed_dominant(monoid_monomial(system, p, lam)), basis=basis
-        )
-    if op == "xi":
-        (h,) = _expect(("hecke",), operands, op)
-        return kmodule.schubert_to_jsonable(kmodule.schubert_from_hecke(h))
-    if op == "xi-inv":
-        (v,) = _expect(("schubert",), operands, op)
-        return hecke.to_jsonable(kmodule.hecke_from_schubert(v), basis=basis)
-    if op == "demazure":
-        v, x = _expect(("schubert", "element"), operands, op)
-        return kmodule.schubert_to_jsonable(kmodule.demazure_word_apply(v, x))
-    if op == "pullback":
-        (lam,) = _expect(("coweight",), operands, op)
-        g = kmodule.grassmannian_class(system, lam, ring)
-        return kmodule.schubert_to_jsonable(kmodule.grassmannian_pullback(g))
-    if op == "specialize":
-        (v,) = _expect(("schubert",), operands, op)
-        return kmodule.schubert_to_jsonable(kmodule.specialize(v))
-    raise UsageError(f"parse error at token 0 ({op!r}): unknown operation")
+        return hecke.to_jsonable(functools.reduce(hecke.multiply_hecke, values), basis=basis)
+    if op not in _OPERATIONS:
+        raise UsageError(f"parse error at token 0 ({op!r}): unknown operation")
+    expected, operation = _OPERATIONS[op]
+    if kinds != expected:
+        got = ", ".join(kinds) or "nothing"
+        raise UsageError(f"operation {op!r} expects operands ({', '.join(expected)}), got {got}")
+    return operation(env, *values)
 
 
 def cmd_compute(args) -> int:
@@ -375,14 +355,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
-    handlers = {
-        "enumerate": cmd_enumerate,
-        "compute": cmd_compute,
-        "check": cmd_check,
-        "graph": cmd_graph,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ResourceBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

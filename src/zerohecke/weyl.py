@@ -62,10 +62,6 @@ __all__ = [
 class ResourceBoundError(RuntimeError):
     """An enumeration exceeded its configured resource bound."""
 
-    def __init__(self, message: str, attained_depth: int | None = None):
-        super().__init__(message)
-        self.attained_depth = attained_depth
-
 
 # -- exact integer matrix helpers ---------------------------------------
 
@@ -466,8 +462,7 @@ def enumerate_ball(
         if sum(map(len, shells)) + len(nxt) > max_elements:
             raise ResourceBoundError(
                 f"ball enumeration exceeded {max_elements} elements at depth "
-                f"{depth} (completed depth {depth - 1})",
-                attained_depth=depth - 1,
+                f"{depth} (completed depth {depth - 1})"
             )
         shells.append(tuple(nxt))
     return tuple(shells)

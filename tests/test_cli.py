@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +274,96 @@ def test_compute_unknown_operation(capsys):
 def test_compute_wrong_operand_kinds(capsys):
     code, _, err = run(capsys, "compute", "--rank", "1", "len", "Y[0]")
     assert code == EXIT_USAGE and "expects operands" in err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("--rank", "1", "frobnicate", "[0]"),
+     "parse error at token 0 ('frobnicate'): unknown operation"),
+    (("--rank", "1", "len", "Y[0]"), "operation 'len' expects operands (element), got hecke"),
+    (("--rank", "1", "xi-inv", "Y[0]"),
+     "operation 'xi-inv' expects operands (schubert), got hecke"),
+    (("--rank", "1", "len", "[0]", "[1]"),
+     "operation 'len' expects operands (element), got element, element"),
+    (("--rank", "1", "len"), "operation 'len' expects operands (element), got nothing"),
+    (("--rank", "1", "mul", "[0]"),
+     "operation 'mul' expects operands (element, element), got element"),
+    (("--rank", "1", "hecke-mul", "Y[0]"),
+     "operation 'hecke-mul' expects two or more Y[..] operands"),
+    (("--rank", "1", "hecke-mul", "Y[0]", "S[1]"),
+     "operation 'hecke-mul' expects two or more Y[..] operands"),
+    (("--rank", "1", "len", "[0,1"),
+     "parse error at token 1 ('[0,1'): expected [..], e{..}, Y[..] or S[..]"),
+    (("--rank", "1", "len", "[0,,1]"),
+     "parse error at token 1 ('[0,,1]'): expected comma-separated integers"),
+    (("--rank", "1", "len", "[9]"),
+     "parse error at token 1 ('[9]'): generator index 9 out of range 0..1"),
+    (("--rank", "2", "theta", "e{1}"),
+     "parse error at token 1 ('e{1}'): coweight needs 2 coordinates"),
+    (("--rank", "2", "theta", "e{-1,0}"),
+     "precondition violated: theta needs a dominant coweight, got [-1, 0]"),
+    # operands are parsed before the operation is looked up
+    (("--rank", "1", "bogus", "[9]"),
+     "parse error at token 1 ('[9]'): generator index 9 out of range 0..1"),
+])
+def test_expression_usage_error_lines_are_pinned(capsys, argv, line):
+    assert run(capsys, "compute", *argv) == (EXIT_USAGE, "", f"error: {line}\n")
+
+
+def _twisted(coeff, sign: int, p: int):
+    """A printed coefficient with each residue multiplied by sign, mod p."""
+    if isinstance(coeff, int):
+        return coeff * sign % p
+    return [{"exp": t["exp"], "coeff": t["coeff"] * sign % p} for t in coeff]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_ytilde_basis_relabels_hecke_output_only(capsys, rank, p):
+    # hecke-mul, theta and xi-inv print Hecke elements, whose Ytilde labels
+    # carry the sign (-1)^length(elem); every other operation ignores --basis
+    system = cli.build_root_system("A", rank)
+    top = ",".join(map(str, range(rank + 1)))
+    signed = [("hecke-mul", "Y[0]", "Y[0]"), ("hecke-mul", f"Y[{top}]", "Y[1]", "Y[0]"),
+              ("theta", "e{" + ",".join(["1"] * rank) + "}"),
+              ("xi-inv", "S[0]"), ("xi-inv", f"S[{top}]"), ("xi-inv", "S[1,0]")]
+    unsigned = [("xi", "Y[0]"), ("xi", f"Y[{top}]"), ("demazure", "S[1]", f"[{top}]"),
+                ("pullback", "e{" + ",".join(["-1"] * rank) + "}"), ("specialize", "S[0]"),
+                ("len", f"[{top}]"), ("mul", "[0]", f"[{top}]")]
+
+    def compute(basis, *expression):
+        code, out, err = run(capsys, "compute", "--rank", str(rank), "--prime", str(p),
+                             "--basis", basis, *expression)
+        assert code == EXIT_OK, err
+        return out
+
+    odd_terms = 0
+    for expression in signed:
+        terms = json.loads(compute("Y", *expression))
+        signs = [(-1) ** weyl.length(weyl.element_from_jsonable(system, t["elem"]))
+                 for t in terms]
+        odd_terms += signs.count(-1)
+        assert json.loads(compute("Ytilde", *expression)) == [
+            {"elem": t["elem"], "coeff": _twisted(t["coeff"], sign, p)}
+            for t, sign in zip(terms, signs)
+        ], expression
+    assert odd_terms  # the relabelling is not the identity on these outputs
+    for expression in unsigned:
+        assert compute("Ytilde", *expression) == compute("Y", *expression), expression
+
+
+def _grammar_operations(text: str) -> set:
+    """The operations a grammar block names: the first word of each | alternative."""
+    block = text[re.search(r"element\s+::=", text).start():text.index("Operators act on the right")]
+    return {alternative.split()[0] for line in block.splitlines()
+            if line.strip() and "::=" not in line and "```" not in line
+            for alternative in line.split("|")}
+
+
+def test_documented_grammar_names_exactly_the_operations():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    operations = set(cli._OPERATIONS) | {"hecke-mul"}
+    assert _grammar_operations(readme) == operations
+    assert _grammar_operations(cli.__doc__) == operations
 
 
 def test_bad_prime_rejected(capsys):

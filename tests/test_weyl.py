@@ -540,7 +540,9 @@ def test_ball_elements_unique():
 def test_ball_resource_bound():
     with pytest.raises(ResourceBoundError) as info:
         enumerate_ball(A2, 9, max_elements=10)
-    assert info.value.attained_depth is not None
+    # shells of 1, 3, 6 and 9 elements: the shell at depth 3 takes the ball past 10
+    assert str(info.value) == (
+        "ball enumeration exceeded 10 elements at depth 3 (completed depth 2)")
 
 
 # -- distinguished elements -------------------------------------------------------------

@@ -201,6 +201,11 @@ MUTANTS = {
     "bruhat-peels-word-forward": [
         (WEYL, "for i in reversed(word):", "for i in word:", 1),
     ],
+    # the expression evaluator's operation table
+    "xi-inv-ignores-basis": [
+        (CLI, "kmodule.hecke_from_schubert(v), basis=env.basis)",
+         "kmodule.hecke_from_schubert(v))", 1),
+    ],
     "graph-keeps-non-covers": [
         (CLI, "for u in deletions if u in below]", "for u in deletions]", 1),
     ],
