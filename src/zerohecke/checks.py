@@ -13,12 +13,12 @@ a time.  No table outlives its call, so corrupting the rule (as the
 mutation-sanity tests do) corrupts the suites' subject and must surface
 as failures.  The compose, xi and words suites walk their columns along
 the canonical-word tree of a pool (:func:`_tree_columns`), each from its
-parent's in one step; xi reads entry u of v's column against the Demazure
-product, and words reads its count, its exhaustive edges and its random
-layer's reduced words off one weak-order DAG of one ball, stepping a column
-one letter along each other edge.  The braid, words and compose suites
-record failures only through :func:`_class_records` and
-:func:`_same_vectors`: the inputs, then ``basis`` or ``vector``, then
+parent's in one step.  Compose finds each length-additive (u, v) from
+(u, v's parent) by one descent test; xi reads entry u of v's column against
+the Demazure product; words reads its count, edges and random-layer words
+off one weak-order DAG of one ball, stepping a column along each other edge.
+Braid, words and compose record failures only through :func:`_class_records`
+and :func:`_same_vectors`: the inputs, then ``basis`` or ``vector``, then
 ``lhs``, ``rhs``.  Bruhat lower intervals are subword sets.
 """
 
@@ -318,26 +318,28 @@ def check_compose(
     pairs = []  # u's word then v's against uv's, where l(uv) = l(u) + l(v)
     for u in pool:
         wu, lu = weyl.reduced_word(u), weyl.length(u)
-        # v's word -> the column of u's walked along it, for additive (u, v).
-        # If wu + wv is reduced, so is wu + wv[:-1], a factor of a reduced
-        # word: (u, parent of v) is additive too, and comes earlier.
-        walked = {(): columns[wu]}
+        # v's word -> (uv, u's column walked along it), for additive (u, v): with
+        # v = v' s_j, v' its canonical parent, wu + wv is reduced iff its prefix
+        # wu + wv' is, an earlier pair, and l(uv' s_j) > l(uv'), a descent test.
+        walked = {(): (u, columns[wu])}
         for v in pool:
-            lv = weyl.length(v)
+            lv, wv = weyl.length(v), weyl.reduced_word(v)
             if lu + lv > pair_bound:
                 break
-            if not lu + lv:
+            if not lu + lv or wv[:-1] not in walked:
                 continue
-            uv = pooled[u * v]
-            if weyl.length(uv) == lu + lv:
-                wv, wuv = weyl.reduced_word(v), weyl.reduced_word(uv)
-                inputs = {"u": list(wu), "v": list(wv)}
-                pairs.append((wu + wv, [(inputs, wuv)]))
-                if wv:
-                    walked[wv] = table.walk(walked[wv[:-1]], wv[-1:])
-                report.count(len(ids))
-                if walked[wv] != columns[wuv]:
-                    _class_records(report, table, ids, walked[wv], [(inputs, columns[wuv])])
+            if wv:
+                uv, column = walked[wv[:-1]]
+                if weyl.is_right_descent(uv, wv[-1]):
+                    continue
+                walked[wv] = pooled[weyl._mul_gen(uv, wv[-1])], table.walk(column, wv[-1:])
+            uv, column = walked[wv]
+            wuv = weyl.reduced_word(uv)
+            inputs = {"u": list(wu), "v": list(wv)}
+            pairs.append((wu + wv, [(inputs, wuv)]))
+            report.count(len(ids))
+            if column != columns[wuv]:
+                _class_records(report, table, ids, column, [(inputs, columns[wuv])])
     for _ in range(n_random if pairs else 0):
         lhs, cases = rng.choice(pairs)
         _same_vectors(report, _random_vector(system, ring, basis, rng), lhs, cases)

@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from collections import namedtuple
@@ -216,7 +217,9 @@ def _parse_operand(env: _Env, token: str, pos: int):
     else:
         raise UsageError(f"{where}: expected [..], e{{..}}, Y[..] or S[..]")
     body = token[len(opening):-1].strip()
-    try:
+    try:  # int alone would also read +1, 1_0 and non-ASCII digits
+        if not re.fullmatch(r"[0-9,\s-]*", body):
+            raise ValueError(body)
         values = [int(t) for t in body.split(",")] if body else []
     except ValueError:
         raise UsageError(f"{where}: expected comma-separated integers")

@@ -333,6 +333,32 @@ def test_int_walk_matches_element_walk_at_depth(monkeypatch, lie_type, rank, pai
     assert compose.failures and words.failures and braid.failures
 
 
+def _additive_pairs(system, pair_bound):
+    # brute force: pool pairs, e e aside, whose product is as long as both together
+    pool = _ball(system, pair_bound)
+    return sum(0 < weyl.length(u) + weyl.length(v) <= pair_bound
+               and weyl.length(u * v) == weyl.length(u) + weyl.length(v)
+               for u in pool for v in pool)
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,pair_bound",
+    [("A", 2, 5), ("C", 2, 5), ("G", 2, 5), ("A", 3, 4), ("B", 3, 3)],
+)
+def test_compose_finds_additive_pairs_without_products(monkeypatch, lie_type, rank, pair_bound):
+    # each pair is reached from its parent pair by one descent test: no group product
+    system = build_root_system(lie_type, rank)
+    additive = _additive_pairs(system, pair_bound)
+    calls = []
+    true_mul = weyl.AffineWeylElement.__mul__
+    monkeypatch.setattr(weyl.AffineWeylElement, "__mul__",
+                        lambda x, y: calls.append((x, y)) or true_mul(x, y))
+    report = checks.check_compose(system, 3, pair_bound=pair_bound, basis_bound=3, n_random=0)
+    assert report.passed and not calls
+    # the idempotence layer counts one instance per basis class and generator
+    assert report.instance_count == len(_ball(system, 3)) * (additive + rank + 1)
+
+
 def _at_descent_edges(system, records):
     # the per-word records whose word is canon(y s_j) + (j,) for a right
     # descent j of the element y other than its smallest: one per DAG edge

@@ -304,9 +304,23 @@ def test_compute_wrong_operand_kinds(capsys):
     # operands are parsed before the operation is looked up
     (("--rank", "1", "bogus", "[9]"),
      "parse error at token 1 ('[9]'): generator index 9 out of range 0..1"),
+    # an item is an optional minus and ASCII digits: no plus, underscore or other digits
+    (("--rank", "2", "len", "[+1]"),
+     "parse error at token 1 ('[+1]'): expected comma-separated integers"),
+    (("--rank", "2", "len", "[\u0661]"),
+     "parse error at token 1 ('[\u0661]'): expected comma-separated integers"),
+    (("--rank", "2", "len", "[1_0]"),
+     "parse error at token 1 ('[1_0]'): expected comma-separated integers"),
+    (("--rank", "2", "theta", "e{+1,0}"),
+     "parse error at token 1 ('e{+1,0}'): expected comma-separated integers"),
 ])
 def test_expression_usage_error_lines_are_pinned(capsys, argv, line):
     assert run(capsys, "compute", *argv) == (EXIT_USAGE, "", f"error: {line}\n")
+
+
+def test_operand_items_may_carry_surrounding_spaces(capsys):
+    assert run(capsys, "compute", "--rank", "2", "len", "[0, 1]") == (EXIT_OK, "2\n", "")
+    assert run(capsys, "compute", "--rank", "2", "theta", "e{ 1 , 1 }")[0] == EXIT_OK
 
 
 def _twisted(coeff, sign: int, p: int):

@@ -62,6 +62,14 @@ MUTANTS = {
     "compose-column-steps-first-letter": [
         (CHECKS, "table.walk(columns[wx[:-1]], wx[-1:])", "table.walk(columns[wx[:-1]], wx[:1])", 1),
     ],
+    # compose's length-additive pairs: (u, v' s_j) from (u, v') by one descent test of uv'
+    "compose-pairs-skip-the-descent-test": [
+        (CHECKS, "                if weyl.is_right_descent(uv, wv[-1]):\n                    continue\n",
+         "", 1),
+    ],
+    "compose-pairs-keep-the-parent-product": [
+        (CHECKS, "pooled[weyl._mul_gen(uv, wv[-1])]", "pooled[uv]", 1),
+    ],
     # words on the weak-order DAG: every descent edge, and reduced words listed over all
     # of them, whose list also gives the random layer its cases
     "words-compares-one-descent-pair": [
