@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code else EXIT_OK
     try:
         return args.handler(args)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does: no error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return EXIT_OK
     except ResourceBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

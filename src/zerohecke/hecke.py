@@ -91,7 +91,7 @@ def demazure_product(w: AffineWeylElement, x: AffineWeylElement) -> AffineWeylEl
     system, lam, u = w.system, w.translation, w.finite
     moved = False
     for i in weyl.reduced_word(x):
-        if not weyl._descends(lam, u, i):
+        if not weyl._descends(system, lam, u, i):
             lam, u = weyl._step(system, lam, u, i)
             moved = True
     return AffineWeylElement(system, lam, u) if moved else w

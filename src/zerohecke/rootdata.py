@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul
+from operator import mul, neg
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -97,7 +97,7 @@ def _pairing_matrix(lie_type: str, rank: int) -> list[list[int]]:
 
 
 class RootSystem:
-    """Cartan data of one irreducible type, immutable after construction.
+    """Cartan data of one irreducible type, fixed at construction but for its root index.
 
     Do not instantiate directly; use :func:`build_root_system`, which
     validates the (type, rank) pair and interns the instances, so root
@@ -110,15 +110,14 @@ class RootSystem:
                 f"invalid root system type ({lie_type!r}, {rank}): supported are "
                 "A(l>=1), B(l>=2), C(l>=2), D(l>=4), E(6,7,8), F(4), G(2)"
             )
-        self.lie_type = lie_type
-        self.rank = rank
+        self.lie_type, self.rank = lie_type, rank
 
         a = _pairing_matrix(lie_type, rank)
         self._a = tuple(tuple(row) for row in a)
         # spec convention: cartan[i][j] = <coroot_j, root_i>
         self.cartan: Matrix = tuple(tuple(a[j][i] for j in range(rank)) for i in range(rank))
 
-        self.positive_roots: tuple[Vector, ...] = self._generate_positive_roots()
+        self.positive_roots, self.highest_coroot = self._generate_positive_roots()
         expected = _POSITIVE_ROOT_COUNTS[lie_type](rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
@@ -126,11 +125,10 @@ class RootSystem:
                 f"{len(self.positive_roots)} roots, expected {expected}"
             )
 
-        self.highest_root: Vector = self._find_highest_root()
-        self.two_rho: Vector = tuple(
-            sum(col) for col in zip(*self.positive_roots)
-        )
-        self.highest_coroot: Vector = self._coroot_of_highest_root()
+        self.highest_root: Vector = self.positive_roots[-1]  # the one root of greatest height
+        if any(b > t for beta in self.positive_roots for b, t in zip(beta, self.highest_root)):
+            raise AssertionError("highest root is not coordinatewise maximal")
+        self.two_rho: Vector = tuple(map(sum, zip(*self.positive_roots)))
 
         assert self.pairing(self.highest_coroot, self.highest_root) == 2
 
@@ -159,61 +157,28 @@ class RootSystem:
         # <coroot_i, beta> for beta in root coordinates
         return sum(self._a[i][k] * beta[k] for k in range(self.rank))
 
-    def _generate_positive_roots(self) -> tuple[Vector, ...]:
-        # Build by height: beta + alpha_i is a root iff the alpha_i-string
-        # through beta has q = p - <beta, coroot_i> >= 1, where p is the
-        # largest k with beta - k*alpha_i already found.
-        rank = self.rank
-        simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        found = set(simples)
-        level = list(simples)
-        levels = [list(simples)]
-        while level:
-            nxt = []
-            for beta in level:
-                for i in range(rank):
-                    p = 0
-                    lower = list(beta)
-                    while True:
-                        lower[i] -= 1
-                        if tuple(lower) in found:
-                            p += 1
-                        else:
-                            break
-                    if p - self._coroot_pairing(i, beta) >= 1:
-                        gamma = list(beta)
-                        gamma[i] += 1
-                        gamma = tuple(gamma)
-                        if gamma not in found:
-                            found.add(gamma)
-                            nxt.append(gamma)
-            if nxt:
-                levels.append(nxt)
-            level = nxt
-        ordered = []
-        for lev in levels:
-            ordered.extend(sorted(lev))
-        return tuple(ordered)
+    def _generate_positive_roots(self) -> tuple[tuple[Vector, ...], Vector]:
+        # The simple roots' orbit under the simple reflections, kept positive:
+        # s_i raises beta by -<coroot_i, beta> alpha_i when that is positive,
+        # and every positive root is reached so.  The coroot goes along as
+        # s_i(beta^vee) = beta^vee - <beta^vee, alpha_i> coroot_i.  The roots
+        # are listed by height, with the coroot of the last, the highest.
+        units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        found, seen = list(zip(units, units)), set(units)
+        for beta, coroot in found:
+            for i in range(self.rank):
+                if (c := self._coroot_pairing(i, beta)) < 0 and (
+                        gamma := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in seen:
+                    seen.add(gamma)
+                    d = sum(map(mul, coroot, self.cartan[i]))
+                    found.append((gamma, coroot[:i] + (coroot[i] - d,) + coroot[i + 1:]))
+        found.sort(key=lambda pair: (sum(pair[0]), pair[0]))
+        return tuple(beta for beta, _ in found), found[-1][1]
 
-    def _find_highest_root(self) -> Vector:
-        top = max(self.positive_roots, key=lambda r: (sum(r), r))
-        for beta in self.positive_roots:
-            if any(b > t for b, t in zip(beta, top)):
-                raise AssertionError("highest root is not coordinatewise maximal")
-        return top
-
-    def _coroot_of_highest_root(self) -> Vector:
-        # reflect theta down to a simple root alpha_k, then carry its coroot
-        # back up, using (s_i beta)^vee = s_i(beta^vee)
-        beta, path = self.highest_root, []
-        while sum(beta) > 1:
-            i, c = next((i, c) for i in range(self.rank) if (c := self._coroot_pairing(i, beta)) > 0)
-            beta = beta[:i] + (beta[i] - c,) + beta[i + 1:]
-            path.append(i)
-        coroot = list(beta)  # alpha_k^vee has the coordinates of alpha_k
-        for i in reversed(path):
-            coroot[i] -= sum(map(mul, self.cartan[i], coroot))
-        return tuple(coroot)
+    @functools.cached_property
+    def root_index(self) -> RootIndex:
+        """The roots met so far, as ints: made on first use, not at construction."""
+        return RootIndex(self)
 
     # -- queries ---------------------------------------------------------
 
@@ -261,6 +226,58 @@ class RootSystem:
 
     def to_jsonable(self) -> dict:
         return {"type": self.lie_type, "rank": self.rank}
+
+
+class RootIndex:
+    """The roots of one system as ints, each interned when first reached.
+
+    alpha_0 := -theta is 0 and alpha_i is i, so that the identity of W0 keys
+    as range(rank + 1); the rest join as reflections reach them, never listed
+    up front.  Per index it keeps the root, its dual row cartan^T beta (so
+    <lam, beta> = lam . dual), its height, its coroot in the simple-coroot
+    basis and its row of the reflection memo.
+    """
+
+    def __init__(self, system: RootSystem):
+        self.system, self._ids = system, {}
+        self.roots, self.dual, self.height, self.coroot, self.reflections = [], [], [], [], []
+        self.intern(tuple(map(neg, system.highest_root)), tuple(map(neg, system.highest_coroot)))
+        for i in range(system.rank):
+            unit = tuple(int(i == j) for j in range(system.rank))
+            self.intern(unit, unit)
+
+    def intern(self, root: Vector, coroot: Vector) -> int:
+        """The index of root, whose coroot is given, made on first reach."""
+        if root not in self._ids:
+            if len(self.roots) == 2 * self.system.num_positive_roots:
+                raise AssertionError(f"{root} is no root of {self.system!r}")
+            self._ids[root] = r = len(self.roots)
+            self.roots.append(root)
+            self.dual.append(tuple(sum(map(mul, row, root)) for row in self.system._a))
+            self.height.append(sum(root))
+            self.coroot.append(coroot)
+            self.reflections.append(_Reflections(self, r))
+        return self._ids[root]
+
+
+class _Reflections(dict):
+    """The memo row of one root beta: index g -> the index of s_beta(gamma)
+    = gamma - <beta^vee, gamma> beta, whose coroot is gamma^vee -
+    <gamma^vee, beta> beta^vee; made on first lookup."""
+
+    __slots__ = ("index", "b")
+
+    def __init__(self, index: RootIndex, b: int):
+        self.index, self.b = index, b
+
+    def __missing__(self, g: int) -> int:
+        index, b = self.index, self.b
+        a = sum(map(mul, index.coroot[b], index.dual[g]))
+        c = sum(map(mul, index.coroot[g], index.dual[b]))
+        self[g] = r = index.intern(
+            tuple(x - a * y for x, y in zip(index.roots[g], index.roots[b])),
+            tuple(x - c * y for x, y in zip(index.coroot[g], index.coroot[b])))
+        return r
 
 
 def build_root_system(lie_type: str, rank: int) -> RootSystem:

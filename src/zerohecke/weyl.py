@@ -1,15 +1,21 @@
 """The affine Weyl group as a semidirect product of coweights by the finite group.
 
-Elements are kept in canonical (translation, finite part) form: the finite
-part is an integer matrix acting on coweights, the translation a coweight.
-Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.  Finite parts are
-interned per root system; each is made from a parent u as u s_j in
-O(rank^2), and a product walks u along the right factor's canonical word.
+Elements are kept in canonical (translation, finite part) form, the
+translation a coweight.  Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.
+With alpha_0 := -theta, a finite part u is keyed by the root indices of
+u(alpha_0), ..., u(alpha_rank) in the system's lazy root index (Casselman,
+Invent. Math. 1994; Bjorner-Brenti, GTM 231, 4): its root-permutation
+representation.  Since u s_j u^-1 = s_{u(alpha_j)}, the key of u s_j is
+u's with each entry reflected in u(alpha_j), one memo lookup per entry, so
+a part is made from its parent in O(rank).  Parts are interned per root
+system, u(mu) is the sum of mu_j times the coroot of u(alpha_j), and a
+product walks u along the right factor's canonical word.
 
-Generator 0 is ``t^(theta_coroot) s_theta``.  With alpha_0 := -theta,
-x = t^lam u sends the simple affine root i to the pair (level_i, height_i)
-= ([i = 0] - <lam, u(alpha_i)>, ht(u(alpha_i))); i is a right descent iff
-the pair is below (0, 0) lexicographically (Bjorner-Brenti, GTM 231, 4.4).
+Generator 0 is ``t^(theta_coroot) s_theta``.  x = t^lam u sends the
+simple affine root i to the pair (level_i, height_i) = ([i = 0] -
+<lam, u(alpha_i)>, ht(u(alpha_i))), read off the root index at u's key;
+i is a right descent iff the pair is below (0, 0) lexicographically
+(Bjorner-Brenti, GTM 231, 4.4).
 Peeling i changes the pairs linearly, so reduced words are walked on
 integers alone (Casselman, Invent. Math. 1994), and length counts the
 inversions in closed form (Iwahori-Matsumoto) from the same pairs.
@@ -27,10 +33,9 @@ inversions in closed form (Iwahori-Matsumoto) from the same pairs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 
-from .rootdata import Matrix, RootSystem, Vector, build_root_system
+from .rootdata import RootSystem, Vector, build_root_system
 
 __all__ = [
     "AffineWeylElement",
@@ -63,83 +68,64 @@ class ResourceBoundError(RuntimeError):
     """An enumeration exceeded its configured resource bound."""
 
 
-# -- exact integer matrix helpers ---------------------------------------
-
-
-def _matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
 # -- elements ------------------------------------------------------------
 
 
 class FinitePart:
-    """An element u of the finite Weyl group, as its matrix on coweights.
+    """An element u of the finite Weyl group, as its key: the root indices
+    of u(alpha_0), ..., u(alpha_rank), with alpha_0 := -theta.
 
     Parts are interned per root system, so one element of W0 is one
-    object, and parts compare by identity.  A part holds one
-    :class:`_Step` per generator, made from its parent's, and keeps its
-    canonical word once :func:`_part_word` has read it.
+    object, and parts compare by identity.  A part holds its product with
+    each generator once made, and its canonical word once
+    :func:`_part_word` has read it.
     """
 
-    __slots__ = ("mat", "_steps", "_word")
+    __slots__ = ("key", "_products", "_word")
 
-    def __init__(self, mat: Matrix, steps: list[_Step] | None = None):
-        self.mat = mat
-        self._steps = steps
+    def __init__(self, key: tuple[int, ...]):
+        self.key = key
+        self._products: list[FinitePart | None] = [None] * len(key)
         self._word: tuple[int, ...] | None = None
 
     def __repr__(self):
-        return f"FinitePart({self.mat})"
+        return f"FinitePart(key={self.key}, word={self._word})"
 
     def is_identity(self) -> bool:
-        return all(row[k] == 1 and sum(map(abs, row)) == 1 for k, row in enumerate(self.mat))
+        return self.key == tuple(range(len(self.key)))
 
 
-@dataclass(slots=True)
-class _Step:
-    """Generator i as seen by a part u, with alpha_0 := -theta: the dual
-    cartan^T u(alpha_i), so that <lam, u(alpha_i)> = lam . dual; the height
-    ht(u(alpha_i)), negative iff u(alpha_i) < 0; the shift u(theta_coroot),
-    for i = 0 only; and the part u s_i, set on first use.
-    """
-
-    dual: Vector
-    height: int
-    shift: Vector | None
-    product: FinitePart | None = None
-
-
-# One table per root system, from coweight matrix to part, seeded with the
-# identity; B3 and C3 share coweight matrices but not step records.
-_FINITE_PARTS: dict[RootSystem, dict[Matrix, FinitePart]] = {}
+# One table per root system, from key to part, seeded with the identity;
+# keys index the system's own roots, so B3's and C3's coincide.
+_FINITE_PARTS: dict[RootSystem, dict[tuple[int, ...], FinitePart]] = {}
 
 
 def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
-    """The part u s_j: the record's product, else the table, else a new part.
+    """The part u s_j: u's pointer, else the table, else a new part.
 
-    With c = u(alpha_j^vee), alpha_0^vee := -theta^vee, its matrix is
-    M_u - c (x) <., alpha_j>, its record i is u's minus affine_cartan[j][i]
-    times u's record j, and its shift u's plus affine_cartan[0][j] c.
+    Entry i of its key is u(alpha_i) - affine_cartan[j][i] u(alpha_j), the
+    reflection of u(alpha_i) in u(alpha_j): one lookup in that root's memo
+    row, which maps the entries orthogonal to it to themselves.
     """
-    steps = u._steps
-    step = steps[j]
-    if step.product is None:
-        affine, shift = system.affine_cartan, steps[0].shift
-        col = [-c for c in shift] if j == 0 else [row[j - 1] for row in u.mat]
-        form = [row[j] for row in affine[1:]]
-        mat = tuple(row if not c else tuple(m - c * f for m, f in zip(row, form))
-                    for row, c in zip(u.mat, col))
+    part = u._products[j]
+    if part is None:
+        row = system.root_index.reflections[u.key[j]]
+        key = tuple(map(row.__getitem__, u.key))
         table = _FINITE_PARTS[system]
-        part = table.get(mat)
+        part = table.get(key)
         if part is None:
-            dual, height, a0 = step.dual, step.height, affine[0][j]
-            new = [_Step(tuple(d - a * e for d, e in zip(s.dual, dual)) if a else s.dual,
-                         s.height - a * height, None) for s, a in zip(steps, affine[j])]
-            new[0].shift = tuple(h + a0 * c for h, c in zip(shift, col)) if a0 else shift
-            part = table[mat] = FinitePart(mat, new)
-        step.product = part
-    return step.product
+            part = table[key] = FinitePart(key)
+        u._products[j] = part
+    return part
+
+
+def _act(system: RootSystem, u: FinitePart, mu: Vector) -> Vector:
+    """u(mu) for a coweight mu: the sum of mu_j times the coroot of u(alpha_j)."""
+    coroot, image = system.root_index.coroot, (0,) * len(mu)
+    for c, r in zip(mu, u.key[1:]):
+        if c:
+            image = tuple(x + c * y for x, y in zip(image, coroot[r]))
+    return image
 
 
 def _part_word(system: RootSystem, u: FinitePart) -> tuple[int, ...]:
@@ -192,12 +178,8 @@ class AffineWeylElement:
             return NotImplemented
         system, u, v = self.system, self.finite, other.finite
         if system is not other.system:
-            raise ValueError(
-                f"cannot multiply elements over {system!r} and {other.system!r}"
-            )
-        trans = self.translation
-        if any(other.translation):
-            trans = tuple(map(add, trans, _matvec(u.mat, other.translation)))
+            raise ValueError(f"cannot multiply elements over {system!r} and {other.system!r}")
+        trans = tuple(map(add, self.translation, _act(system, u, other.translation)))
         for j in _part_word(system, v):
             u = _times_generator(system, u, j)
         return AffineWeylElement(system, trans, u)
@@ -207,7 +189,7 @@ class AffineWeylElement:
         system, inv = self.system, identity_element(self.system).finite
         for j in reversed(_part_word(system, self.finite)):
             inv = _times_generator(system, inv, j)
-        trans = tuple(-c for c in _matvec(inv.mat, self.translation))
+        trans = tuple(-c for c in _act(system, inv, self.translation))
         return AffineWeylElement(system, trans, inv)
 
 
@@ -217,14 +199,9 @@ class AffineWeylElement:
 @functools.lru_cache(maxsize=None)
 def identity_element(system: RootSystem) -> AffineWeylElement:
     """The identity, with its length and word; its part seeds the system's table."""
-    n, affine = system.rank, system.affine_cartan
-    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    table = _FINITE_PARTS.setdefault(system, {})
-    if mat not in table:
-        steps = [_Step(tuple(row[i] for row in affine[1:]), 1, None) for i in range(n + 1)]
-        steps[0].height, steps[0].shift = -sum(system.highest_root), system.highest_coroot
-        table[mat] = FinitePart(mat, steps)
-    e = AffineWeylElement(system, (0,) * n, table[mat])
+    key = tuple(range(system.rank + 1))
+    part = _FINITE_PARTS.setdefault(system, {}).setdefault(key, FinitePart(key))
+    e = AffineWeylElement(system, (0,) * system.rank, part)
     e._length, e._word = 0, ()
     return e
 
@@ -257,17 +234,19 @@ def translation_element(system: RootSystem, lam: Vector) -> AffineWeylElement:
 
 
 def _step(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> tuple[Vector, FinitePart]:
-    """(t^lam u) s_i as its (translation, part), read off u's step record i."""
-    step = u._steps[i]
-    part = step.product or _times_generator(system, u, i)
-    return (lam if step.shift is None else tuple(map(add, lam, step.shift))), part
+    """(t^lam u) s_i as its (translation, part); s_0 shifts lam by
+    u(theta^vee), minus the coroot of u(alpha_0)."""
+    part = u._products[i] or _times_generator(system, u, i)
+    if i == 0:
+        lam = tuple(map(sub, lam, system.root_index.coroot[u.key[0]]))
+    return lam, part
 
 
-def _descends(lam: Vector, u: FinitePart, i: int) -> bool:
+def _descends(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> bool:
     """True iff i is a right descent of t^lam u: its (level, height) pair is below (0, 0)."""
-    step = u._steps[i]
-    level = (i == 0) - sum(map(mul, lam, step.dual))
-    return level < 0 if level else step.height < 0
+    index, r = system.root_index, u.key[i]
+    level = (i == 0) - sum(map(mul, lam, index.dual[r]))
+    return level < 0 if level else index.height[r] < 0
 
 
 def from_word(system: RootSystem, letters) -> AffineWeylElement:
@@ -301,7 +280,7 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     """
     if not 0 <= i <= x.system.rank:
         raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
-    return _descends(x.translation, x.finite, i)
+    return _descends(x.system, x.translation, x.finite, i)
 
 
 def length(x: AffineWeylElement) -> int:
@@ -335,9 +314,9 @@ def length(x: AffineWeylElement) -> int:
 
 def _root_pairs(x: AffineWeylElement) -> list[tuple[int, int]]:
     """The (level, height) pair of x(alpha_i) for each generator i."""
-    lam = x.translation
-    return [((i == 0) - sum(map(mul, lam, step.dual)), step.height)
-            for i, step in enumerate(x.finite._steps)]
+    lam, index = x.translation, x.system.root_index
+    return [((i == 0) - sum(map(mul, lam, index.dual[r])), index.height[r])
+            for i, r in enumerate(x.finite.key)]
 
 
 def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
@@ -423,7 +402,7 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
         if not lu or lu > lw:
             break
         lw -= 1
-        if _descends(lam, v, i):
+        if _descends(system, lam, v, i):
             lam, v = _step(system, lam, v, i)
             lu -= 1
     return not lu

@@ -5,9 +5,12 @@ window [w(1), ..., w(n)]; these model the affine Weyl group of type
 A_{n-1} (Bjorner-Brenti, GTM 231, 8.3), letter i acting on the right as
 s_i, which swaps the values at positions i and i + 1 (mod n).  Length is
 Shi's inversion count, sum over 1 <= i < j <= n of |floor((w(j) - w(i)) / n)|
-(Shi, LNM 1179, 1986).  Nothing here reads ``rootdata``: only the words
-and the suite's count come from the library.
+(Shi, LNM 1179, 1986).  Nothing here reads ``rootdata``: the library is
+asked only for words, equality and hashes, lengths, inverses, products,
+ball shells and the suite's count, and each answer is checked on windows.
 """
+
+import random
 
 import pytest
 
@@ -41,6 +44,19 @@ def _from_word(n, letters):
 def _compose(u, v):
     # (uv)(k) = u(v(k))
     return tuple(_apply(u, k) for k in v)
+
+
+def _inverse(window):
+    # w(k) = r + q n with 1 <= r <= n gives w^-1(r) = k - q n
+    n, inv = len(window), [0] * len(window)
+    for k, v in enumerate(window, 1):
+        q, r = divmod(v - 1, n)
+        inv[r] = k - q * n
+    return tuple(inv)
+
+
+def _window(x):
+    return _from_word(x.system.rank + 1, weyl.reduced_word(x))
 
 
 def _shi_length(window):
@@ -79,3 +95,62 @@ def test_compose_pair_count_matches_affine_permutations(rank, pair_bound):
     # the idempotence layer counts one instance per basis class and generator
     assert report.passed
     assert report.instance_count == basis * (additive + n)
+
+
+RANKS = pytest.mark.parametrize("rank", [1, 2, 3, 5], ids=lambda r: f"A~{r}")
+
+
+def _random_words(rank, count, max_len, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(rank + 1) for _ in range(rng.randrange(max_len + 1)))
+            for _ in range(count)]
+
+
+@RANKS
+def test_equality_and_hash_match_windows(rank):
+    # short words collide often; two words agree as windows iff they give equal elements
+    system = build_root_system("A", rank)
+    words = _random_words(rank, 160, 7, rank)
+    windows = [_from_word(rank + 1, word) for word in words]
+    elements = [weyl.from_word(system, word) for word in words]
+    assert len(set(windows)) < len(words)
+    for u, x in zip(windows, elements):
+        for v, y in zip(windows, elements):
+            assert (u == v) == (x == y), (u, v)
+            assert u != v or hash(x) == hash(y), (u, v)
+
+
+@RANKS
+def test_group_law_length_and_words_match_windows(rank):
+    # inverse, products, Shi's length and canonical words, on long random words
+    system, n = build_root_system("A", rank), rank + 1
+    words = _random_words(rank, 60, 40, 100 + rank)
+    for word, other in zip(words, reversed(words)):
+        x, y = weyl.from_word(system, word), weyl.from_word(system, other)
+        u, v = _from_word(n, word), _from_word(n, other)
+        reduced = weyl.reduced_word(x)
+        assert _from_word(n, reduced) == u, word
+        assert weyl.length(x) == len(reduced) == _shi_length(u), word
+        assert _window(x.inverse()) == _inverse(u), word
+        assert _compose(_inverse(u), u) == _from_word(n, ()), word
+        assert _window(x * y) == _compose(u, v), (word, other)
+
+
+@pytest.mark.parametrize("rank,n", [(1, 9), (2, 7), (3, 6), (5, 4)],
+                         ids=("A~1", "A~2", "A~3", "A~5"))
+def test_ball_shells_match_breadth_first_search_on_windows(rank, n):
+    # the model's shells by breadth-first search from the identity, with a seen set
+    system = build_root_system("A", rank)
+    seen = {_from_word(rank + 1, ())}
+    shells = [list(seen)]
+    for _ in range(n):
+        shell = []
+        for w in shells[-1]:
+            for i in range(rank + 1):
+                if (nxt := _times_letter(w, i)) not in seen:
+                    seen.add(nxt)
+                    shell.append(nxt)
+        shells.append(shell)
+    ball = weyl.enumerate_ball(system, n)
+    assert [len(shell) for shell in ball] == [len(shell) for shell in shells]
+    assert [sorted(map(_window, shell)) for shell in ball] == [sorted(s) for s in shells]

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -572,6 +575,21 @@ def test_unexpected_error_is_one_line_usage_exit(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_closed_stdout_is_no_error(tmp_path):
+    # a reader that stops after one line, like `| head -1`: the rest of the
+    # ~100 kB ball meets a closed pipe, which is neither an error nor a traceback
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "zerohecke.cli", "enumerate", "--rank", "2",
+            "--max-length", "24", "--cache", str(tmp_path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert err == "" and code == EXIT_OK
 
 
 def test_warm_cache_respects_max_elements(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerohecke import weyl
-from zerohecke.rootdata import build_root_system, root_system_from_jsonable
+from zerohecke.rootdata import RootSystem, build_root_system, root_system_from_jsonable
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
@@ -51,6 +51,15 @@ def test_a1_is_forced():
     assert rs.positive_roots == ((1,),)
     assert rs.highest_root == (1,)
     assert rs.two_rho == (1,)
+
+
+def test_root_index_rejects_a_vector_beyond_the_roots():
+    # a corrupted reflection cannot grow the index without bound: once both
+    # roots of A1 are in, any new vector is no root
+    index = RootSystem("A", 1).root_index
+    assert index.roots == [(-1,), (1,)] and index.reflections[1][1] == 0
+    with pytest.raises(AssertionError, match="no root"):
+        index.intern((3,), (3,))
 
 
 def test_a2_closure():

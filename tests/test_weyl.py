@@ -6,7 +6,7 @@ import random
 import pytest
 
 from zerohecke import weyl
-from zerohecke.rootdata import build_root_system
+from zerohecke.rootdata import RootSystem, build_root_system
 from zerohecke.weyl import (
     AffineWeylElement,
     FinitePart,
@@ -105,7 +105,7 @@ def _assert_inverse(x):
     inv = x.inverse()
     assert (x * inv).is_identity() and (inv * x).is_identity(), x
     assert inv.inverse() == x, x
-    assert weyl._FINITE_PARTS[x.system][inv.finite.mat] is inv.finite, x
+    assert weyl._FINITE_PARTS[x.system][inv.finite.key] is inv.finite, x
 
 
 def test_inverse_by_powers_on_every_part_and_long_elements():
@@ -183,58 +183,104 @@ def _coweight_reflections(system):
             *(_reflection(u, u, pair) for u in units)]
 
 
+def _word_matrix(reflections, word):
+    # the plain product of the generators' matrices along a word
+    rank = len(reflections[0])
+    mat = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    for i in word:
+        mat = _matmul(mat, reflections[i])
+    return mat
+
+
+def _part_matrix(system, part):
+    # the part's coweight matrix as the library sees it: column j is the coroot of u(alpha_j)
+    return tuple(zip(*(system.root_index.coroot[r] for r in part.key[1:])))
+
+
 @pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8),
                                              ("F", 4, 3), ("E", 6, 3)])
 def test_interned_parts_match_matrix_products(lie_type, rank, n):
-    # oracle: plain products of the generator matrices along the reduced word;
-    # B3 and C3 share coweight matrices, so a shared table would break one.
-    # The step records are checked against the root images R alpha_i, with
-    # alpha_0 = -theta: dual = cartan^T R alpha_i, height = ht(R alpha_i),
-    # and the i = 0 shift is M theta_coroot.
+    # oracle: plain products of the generator matrices along the reduced word,
+    # R on roots and M on coweights.  Key entry i is the root R alpha_i, with
+    # alpha_0 = -theta; the root index holds its dual cartan^T R alpha_i, its
+    # height ht(R alpha_i) and its coroot M alpha_i^vee, so that the i = 0
+    # shift, minus the coroot of R alpha_0, is M theta_coroot.
     system = build_root_system(lie_type, rank)
+    index = system.root_index
     ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     cartan_t = tuple(zip(*system.cartan))
     simple = [tuple(-c for c in system.highest_root), *ident]
+    simple_coroots = [tuple(-c for c in system.highest_coroot), *ident]
     reflections = _root_reflections(system)
     coweight_reflections = _coweight_reflections(system)
     for depth, shell in enumerate(enumerate_ball(system, n)):
         for x in shell:
-            mat = root_mat = ident
-            for i in reduced_word(x):
-                mat = _matmul(mat, coweight_reflections[i])
-                root_mat = _matmul(root_mat, reflections[i])
-            assert x.finite.mat == mat, x
-            for i, (step, alpha) in enumerate(zip(x.finite._steps, simple)):
+            root_mat = _word_matrix(reflections, reduced_word(x))
+            mat = _word_matrix(coweight_reflections, reduced_word(x))
+            assert _part_matrix(system, x.finite) == mat, x
+            for i, (r, alpha, coroot) in enumerate(zip(x.finite.key, simple, simple_coroots)):
                 image = _matvec(root_mat, alpha)
-                assert step.dual == _matvec(cartan_t, image), (x, i)
-                assert step.height == sum(image), (x, i)
-            assert x.finite._steps[0].shift == _matvec(mat, system.highest_coroot), x
+                assert index.roots[r] == image, (x, i)
+                assert index.dual[r] == _matvec(cartan_t, image), (x, i)
+                assert index.height[r] == sum(image), (x, i)
+                assert index.coroot[r] == _matvec(mat, coroot), (x, i)
+            shift = tuple(-c for c in index.coroot[x.finite.key[0]])
+            assert shift == _matvec(mat, system.highest_coroot), x
             assert length(AffineWeylElement(system, x.translation, x.finite)) == depth, x
 
 
 @pytest.mark.parametrize("lie_type,rank", [("B", 3), ("G", 2), ("F", 4)])
 def test_general_products_match_matrix_products(lie_type, rank):
-    # products whose memo is empty walk the left part along the right
+    # products whose pointers are unset walk the left part along the right
     # part's word; the oracle is the plain product of the coweight matrices
     system = build_root_system(lie_type, rank)
+    reflections = _coweight_reflections(system)
     rng = random.Random(17)
     for _ in range(200):
-        x, y = (from_word(system, [rng.randrange(rank + 1) for _ in range(rng.randrange(12))])
-                for _ in range(2))
-        assert (x * y).finite.mat == _matmul(x.finite.mat, y.finite.mat), (x, y)
+        words = [[rng.randrange(rank + 1) for _ in range(rng.randrange(12))] for _ in range(2)]
+        x, y = (from_word(system, word) for word in words)
+        expected = _matmul(*(_word_matrix(reflections, word) for word in words))
+        assert _part_matrix(system, (x * y).finite) == expected, (x, y)
+
+
+@pytest.mark.parametrize("lie_type,rank", [("B", 3), ("C", 3), ("G", 2), ("F", 4)])
+def test_reflection_memo_matches_the_reflection_formula(lie_type, rank):
+    # every memo entry reached by a ball is s_beta(gamma) = gamma - <beta^vee, gamma> beta,
+    # with the pairing taken from the Cartan matrix here, and carries the coroot
+    # s_beta(gamma^vee) = gamma^vee - <gamma^vee, beta> beta^vee
+    system = build_root_system(lie_type, rank)
+    enumerate_ball(system, 6)
+    index = system.root_index
+    assert len(set(index.roots)) == len(index.roots)
+    for b, row in enumerate(index.reflections):
+        beta, beta_vee = index.roots[b], index.coroot[b]
+        for g, r in row.items():
+            gamma, gamma_vee = index.roots[g], index.coroot[g]
+            a, c = system.pairing(beta_vee, gamma), system.pairing(gamma_vee, beta)
+            assert index.roots[r] == tuple(x - a * y for x, y in zip(gamma, beta)), (b, g)
+            assert index.coroot[r] == tuple(x - c * y for x, y in zip(gamma_vee, beta_vee)), (b, g)
+
+
+def test_root_index_is_lazy():
+    # a fresh D32 holds no root index until a part is made, and eleven letters
+    # reach a few dozen of its 1,984 roots
+    d32 = RootSystem("D", 32)
+    assert "root_index" not in vars(d32)
+    assert length(from_word(d32, range(11))) == 11
+    assert len(d32.root_index.roots) < 100 < 2 * d32.num_positive_roots
 
 
 def test_b3_and_c3_share_no_parts():
     b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
-    parts = [{x.finite.mat: x.finite for x in flat_ball(system, 5)} for system in (b3, c3)]
+    parts = [{x.finite.key: x.finite for x in flat_ball(system, 5)} for system in (b3, c3)]
     shared = parts[0].keys() & parts[1].keys()
-    assert shared  # the identity and w0 at least
-    assert all(parts[0][m] is not parts[1][m] for m in shared)
+    assert shared  # the identity at least
+    assert all(parts[0][k] is not parts[1][k] for k in shared)
 
 
 def test_b3_and_c3_identities_differ():
     b3, c3 = (identity_element(build_root_system(t, 3)) for t in "BC")
-    assert b3.finite.mat == c3.finite.mat and b3.translation == c3.translation
+    assert b3.finite.key == c3.finite.key and b3.translation == c3.translation
     assert b3 != c3
 
 
@@ -245,8 +291,8 @@ def test_equal_elements_share_one_finite_part():
             inv = x.inverse()
             for y in (x, inv, inv.inverse(), x * inv,
                       element_from_jsonable(system, element_to_jsonable(x))):
-                assert seen.setdefault(y.finite.mat, y.finite) is y.finite, y
-        assert seen[identity_element(system).finite.mat] is identity_element(system).finite
+                assert seen.setdefault(y.finite.key, y.finite) is y.finite, y
+        assert seen[identity_element(system).finite.key] is identity_element(system).finite
 
 
 @pytest.mark.parametrize(
@@ -259,10 +305,11 @@ def test_intern_table_is_the_finite_weyl_group(lie_type, rank, n, order):
 
 
 def test_is_identity_of_parts_built_outside_the_table():
-    ident = ((1, 0), (0, 1))
-    assert FinitePart(ident).is_identity()
+    e = identity_element(A2).finite
+    assert FinitePart(e.key) is not e and FinitePart(e.key).is_identity()
+    assert FinitePart((0, 1, 2)).is_identity()
     s1 = generator(A2, 1).finite
-    assert not FinitePart(s1.mat).is_identity()
+    assert not FinitePart(s1.key).is_identity()
 
 
 # -- length ---------------------------------------------------------------------

@@ -144,7 +144,7 @@ MUTANTS = {
     "cache-accepts-any-shell-count": [
         (CLI, "                and len(shells) == n + 1\n", "", 1),
     ],
-    # interned finite parts
+    # interned finite parts, keyed by root indices: B3's and C3's keys coincide
     "one-part-table-for-all-systems": [
         (WEYL, "_FINITE_PARTS.setdefault(system, {})", "_FINITE_PARTS.setdefault(system.rank, {})", 1),
         (WEYL, "table = _FINITE_PARTS[system]\n", "table = _FINITE_PARTS[system.rank]\n", 1),
@@ -154,31 +154,35 @@ MUTANTS = {
     ],
     "inverse-bypasses-the-table": [
         (WEYL, "return AffineWeylElement(system, trans, inv)",
-         "return AffineWeylElement(system, trans, FinitePart(inv.mat, inv._steps))", 1),
+         "return AffineWeylElement(system, trans, FinitePart(inv.key))", 1),
     ],
     "inverse-drops-a-letter": [
         (WEYL, "reversed(_part_word(system, self.finite))",
          "reversed(_part_word(system, self.finite)[1:])", 1),
     ],
-    # step records and the rank-one update
+    # the root index: dual rows, coroots and the reflection memo
     "identity-records-untransposed": [
-        (WEYL, "_Step(tuple(row[i] for row in affine[1:]), 1, None)",
-         "_Step(affine[i][1:], 1, None)", 1),
+        (ROOTDATA, "sum(map(mul, row, root)) for row in self.system._a)",
+         "sum(map(mul, row, root)) for row in self.system.cartan)", 1),
     ],
     "affine-cartan-row-0-sign-flip": [
         (ROOTDATA, "coroots = [tuple(-c for c in self.highest_coroot), *units]",
          "coroots = [self.highest_coroot, *units]", 1),
     ],
     "i0-shift-dropped": [
-        (WEYL, "return (lam if step.shift is None else tuple(map(add, lam, step.shift))), part",
-         "return lam, part", 1),
+        (WEYL, "    if i == 0:\n        lam = tuple(map(sub, lam, system.root_index.coroot[u.key[0]]))\n",
+         "", 1),
     ],
     "shift-update-dropped": [
-        (WEYL, "new[0].shift = tuple(h + a0 * c for h, c in zip(shift, col)) if a0 else shift",
-         "new[0].shift = shift", 1),
+        (ROOTDATA, "tuple(x - c * y for x, y in zip(index.coroot[g], index.coroot[b]))",
+         "index.coroot[g]", 1),
     ],
     "rank-one-column-sign-for-j0": [
-        (WEYL, "col = [-c for c in shift] if j == 0", "col = list(shift) if j == 0", 1),
+        (ROOTDATA, "tuple(map(neg, system.highest_coroot))", "system.highest_coroot", 1),
+    ],
+    "reflection-memo-sign-flip": [
+        (ROOTDATA, "tuple(x - a * y for x, y in zip(index.roots[g], index.roots[b]))",
+         "tuple(x + a * y for x, y in zip(index.roots[g], index.roots[b]))", 1),
     ],
     # ball enumeration and element identity
     "ball-keeps-largest-descent-parent": [
@@ -192,7 +196,7 @@ MUTANTS = {
         (WEYL, "y._word, y._length = x._word + (i,)", "y._word, y._length = (i,) + x._word", 1),
     ],
     "element-equality-compares-matrices": [
-        (WEYL, "and self.finite is other.finite", "and self.finite.mat == other.finite.mat", 1),
+        (WEYL, "and self.finite is other.finite", "and self.finite.key == other.finite.key", 1),
     ],
     # descents, length and reduced words
     "descent-index-unchecked": [
@@ -237,8 +241,8 @@ MUTANTS = {
     ],
     # the greedy product, a path of its own beside the Demazure walk
     "demazure-product-steps-on-a-descent": [
-        (HECKE, "if not weyl._descends(lam, u, i):",
-         "if not moved or not weyl._descends(lam, u, i):", 1),
+        (HECKE, "if not weyl._descends(system, lam, u, i):",
+         "if not moved or not weyl._descends(system, lam, u, i):", 1),
     ],
 }
 
