@@ -14,11 +14,22 @@ conventions of the non-simply-laced types live in exactly one place.
 There is no Euclidean embedding anywhere: arithmetic is exact, on
 unbounded Python integers.
 
+Each system lays out one root table at construction, from what the
+generation of its positive roots computes: index 0 is -theta, index i
+the simple root alpha_i, then the other positive roots, then the other
+negative roots.  Per index it keeps the root, its dual row cartan^T beta
+(so <lam, beta> = lam . dual), its height and its coroot in the
+simple-coroot basis; a negative root takes the negated rows.  Only the
+reflection memo is lazy: row b maps g to the index of s_beta(gamma),
+made on first lookup.
+
 >>> rs = build_root_system("A", 2)
 >>> rs.num_positive_roots
 3
 >>> rs.highest_root
 (1, 1)
+>>> rs.roots[:rs.rank + 1]  # -theta, alpha_1, alpha_2
+((-1, -1), (1, 0), (0, 1))
 >>> rs.pairing((1, 0), (0, 1))
 -1
 """
@@ -97,7 +108,8 @@ def _pairing_matrix(lie_type: str, rank: int) -> list[list[int]]:
 
 
 class RootSystem:
-    """Cartan data of one irreducible type, fixed at construction but for its root index.
+    """Cartan data and the root table of one irreducible type, fixed at construction
+    but for the reflection memo.
 
     Do not instantiate directly; use :func:`build_root_system`, which
     validates the (type, rank) pair and interns the instances, so root
@@ -113,33 +125,42 @@ class RootSystem:
         self.lie_type, self.rank = lie_type, rank
 
         a = _pairing_matrix(lie_type, rank)
-        self._a = tuple(tuple(row) for row in a)
         # spec convention: cartan[i][j] = <coroot_j, root_i>
         self.cartan: Matrix = tuple(tuple(a[j][i] for j in range(rank)) for i in range(rank))
 
-        self.positive_roots, self.highest_coroot = self._generate_positive_roots()
+        found = self._generate_positive_roots()
         expected = _POSITIVE_ROOT_COUNTS[lie_type](rank)
-        if len(self.positive_roots) != expected:
+        if len(found) != expected:
             raise AssertionError(
                 f"root closure for {lie_type}{rank} produced "
-                f"{len(self.positive_roots)} roots, expected {expected}"
+                f"{len(found)} roots, expected {expected}"
             )
 
+        self.positive_roots = tuple(sorted((beta for beta, _, _ in found),
+                                           key=lambda beta: (sum(beta), beta)))
         self.highest_root: Vector = self.positive_roots[-1]  # the one root of greatest height
         if any(b > t for beta in self.positive_roots for b, t in zip(beta, self.highest_root)):
             raise AssertionError("highest root is not coordinatewise maximal")
         self.two_rho: Vector = tuple(map(sum, zip(*self.positive_roots)))
 
+        # the root table: -theta, the simple roots, the other positive roots
+        # as found, then the other negative roots, each with negated rows
+        t = next(r for r, (beta, _, _) in enumerate(found) if beta == self.highest_root)
+        negated = [tuple(tuple(map(neg, row)) for row in record) for record in found]
+        table = [negated[t], *found, *negated[:t], *negated[t + 1:]]
+        self.roots, self.coroot, self.dual = (tuple(column) for column in zip(*table))
+        self.height = tuple(map(sum, self.roots))
+        self._ids = {beta: r for r, beta in enumerate(self.roots)}
+        self.reflections = tuple(_Reflections(self, b) for b in range(len(table)))
+
+        self.highest_coroot: Vector = found[t][1]
         assert self.pairing(self.highest_coroot, self.highest_root) == 2
 
         # affine_cartan[j][i] = <alpha_j^vee, alpha_i> for 0 <= i, j <= rank,
         # with alpha_0 = -theta and alpha_0^vee = -theta^vee
-        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        roots = [tuple(-c for c in self.highest_root), *units]
-        coroots = [tuple(-c for c in self.highest_coroot), *units]
-        duals = [[self._coroot_pairing(m, beta) for m in range(rank)] for beta in roots]
+        ends = range(rank + 1)
         self.affine_cartan: Matrix = tuple(
-            tuple(sum(map(mul, cor, dual)) for dual in duals) for cor in coroots
+            tuple(sum(map(mul, self.coroot[j], self.dual[i])) for i in ends) for j in ends
         )
         # (p, k) per positive root: root p plus alpha_k, or alpha_k itself
         # when p = -1; p comes first, since roots go by height
@@ -153,32 +174,24 @@ class RootSystem:
 
     # -- generation ------------------------------------------------------
 
-    def _coroot_pairing(self, i: int, beta: Vector) -> int:
-        # <coroot_i, beta> for beta in root coordinates
-        return sum(self._a[i][k] * beta[k] for k in range(self.rank))
-
-    def _generate_positive_roots(self) -> tuple[tuple[Vector, ...], Vector]:
+    def _generate_positive_roots(self) -> list[tuple[Vector, Vector, Vector]]:
         # The simple roots' orbit under the simple reflections, kept positive:
         # s_i raises beta by -<coroot_i, beta> alpha_i when that is positive,
-        # and every positive root is reached so.  The coroot goes along as
-        # s_i(beta^vee) = beta^vee - <beta^vee, alpha_i> coroot_i.  The roots
-        # are listed by height, with the coroot of the last, the highest.
+        # and every positive root is reached so.  Each root comes as (root,
+        # coroot, dual row), the simple roots first.  The dual row, entry j
+        # <coroot_j, beta>, is row i of cartan for alpha_i; s_i moves it by c
+        # times row i as it moves beta by c alpha_i, and moves the coroot as
+        # s_i(beta^vee) = beta^vee - <beta^vee, alpha_i> coroot_i.
         units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        found, seen = list(zip(units, units)), set(units)
-        for beta, coroot in found:
-            for i in range(self.rank):
-                if (c := self._coroot_pairing(i, beta)) < 0 and (
-                        gamma := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in seen:
+        found, seen = list(zip(units, units, self.cartan)), set(units)
+        for beta, coroot, dual in found:
+            for i, c in enumerate(dual):
+                if c < 0 and (gamma := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in seen:
                     seen.add(gamma)
                     d = sum(map(mul, coroot, self.cartan[i]))
-                    found.append((gamma, coroot[:i] + (coroot[i] - d,) + coroot[i + 1:]))
-        found.sort(key=lambda pair: (sum(pair[0]), pair[0]))
-        return tuple(beta for beta, _ in found), found[-1][1]
-
-    @functools.cached_property
-    def root_index(self) -> RootIndex:
-        """The roots met so far, as ints: made on first use, not at construction."""
-        return RootIndex(self)
+                    found.append((gamma, coroot[:i] + (coroot[i] - d,) + coroot[i + 1:],
+                                  tuple(x - c * y for x, y in zip(dual, self.cartan[i]))))
+        return found
 
     # -- queries ---------------------------------------------------------
 
@@ -228,55 +241,21 @@ class RootSystem:
         return {"type": self.lie_type, "rank": self.rank}
 
 
-class RootIndex:
-    """The roots of one system as ints, each interned when first reached.
-
-    alpha_0 := -theta is 0 and alpha_i is i, so that the identity of W0 keys
-    as range(rank + 1); the rest join as reflections reach them, never listed
-    up front.  Per index it keeps the root, its dual row cartan^T beta (so
-    <lam, beta> = lam . dual), its height, its coroot in the simple-coroot
-    basis and its row of the reflection memo.
-    """
-
-    def __init__(self, system: RootSystem):
-        self.system, self._ids = system, {}
-        self.roots, self.dual, self.height, self.coroot, self.reflections = [], [], [], [], []
-        self.intern(tuple(map(neg, system.highest_root)), tuple(map(neg, system.highest_coroot)))
-        for i in range(system.rank):
-            unit = tuple(int(i == j) for j in range(system.rank))
-            self.intern(unit, unit)
-
-    def intern(self, root: Vector, coroot: Vector) -> int:
-        """The index of root, whose coroot is given, made on first reach."""
-        if root not in self._ids:
-            if len(self.roots) == 2 * self.system.num_positive_roots:
-                raise AssertionError(f"{root} is no root of {self.system!r}")
-            self._ids[root] = r = len(self.roots)
-            self.roots.append(root)
-            self.dual.append(tuple(sum(map(mul, row, root)) for row in self.system._a))
-            self.height.append(sum(root))
-            self.coroot.append(coroot)
-            self.reflections.append(_Reflections(self, r))
-        return self._ids[root]
-
-
 class _Reflections(dict):
     """The memo row of one root beta: index g -> the index of s_beta(gamma)
-    = gamma - <beta^vee, gamma> beta, whose coroot is gamma^vee -
-    <gamma^vee, beta> beta^vee; made on first lookup."""
+    = gamma - <beta^vee, gamma> beta, made on first lookup and looked up in
+    the closed table, so a vector that is no root raises KeyError there."""
 
-    __slots__ = ("index", "b")
+    __slots__ = ("system", "b")
 
-    def __init__(self, index: RootIndex, b: int):
-        self.index, self.b = index, b
+    def __init__(self, system: RootSystem, b: int):
+        self.system, self.b = system, b
 
     def __missing__(self, g: int) -> int:
-        index, b = self.index, self.b
-        a = sum(map(mul, index.coroot[b], index.dual[g]))
-        c = sum(map(mul, index.coroot[g], index.dual[b]))
-        self[g] = r = index.intern(
-            tuple(x - a * y for x, y in zip(index.roots[g], index.roots[b])),
-            tuple(x - c * y for x, y in zip(index.coroot[g], index.coroot[b])))
+        system, b = self.system, self.b
+        a = sum(map(mul, system.coroot[b], system.dual[g]))
+        gamma = tuple(x - a * y for x, y in zip(system.roots[g], system.roots[b]))
+        self[g] = r = system._ids[gamma]
         return r
 
 
@@ -292,6 +271,8 @@ def build_root_system(lie_type: str, rank: int) -> RootSystem:
     ValueError: invalid root system type ('A', 0): supported are A(l>=1), \
 B(l>=2), C(l>=2), D(l>=4), E(6,7,8), F(4), G(2)
     """
+    if isinstance(rank, bool) or int(rank) != rank:
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     return _interned(lie_type, int(rank))
 
 

@@ -3,7 +3,7 @@
 Elements are kept in canonical (translation, finite part) form, the
 translation a coweight.  Group law: ``(t^lam u)(t^mu v) = t^(lam + u(mu)) (uv)``.
 With alpha_0 := -theta, a finite part u is keyed by the root indices of
-u(alpha_0), ..., u(alpha_rank) in the system's lazy root index (Casselman,
+u(alpha_0), ..., u(alpha_rank) in the system's root table (Casselman,
 Invent. Math. 1994; Bjorner-Brenti, GTM 231, 4): its root-permutation
 representation.  Since u s_j u^-1 = s_{u(alpha_j)}, the key of u s_j is
 u's with each entry reflected in u(alpha_j), one memo lookup per entry, so
@@ -13,7 +13,7 @@ product walks u along the right factor's canonical word.
 
 Generator 0 is ``t^(theta_coroot) s_theta``.  x = t^lam u sends the
 simple affine root i to the pair (level_i, height_i) = ([i = 0] -
-<lam, u(alpha_i)>, ht(u(alpha_i))), read off the root index at u's key;
+<lam, u(alpha_i)>, ht(u(alpha_i))), read off the root table at u's key;
 i is a right descent iff the pair is below (0, 0) lexicographically
 (Bjorner-Brenti, GTM 231, 4.4).
 Peeling i changes the pairs linearly, so reduced words are walked on
@@ -109,7 +109,7 @@ def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
     """
     part = u._products[j]
     if part is None:
-        row = system.root_index.reflections[u.key[j]]
+        row = system.reflections[u.key[j]]
         key = tuple(map(row.__getitem__, u.key))
         table = _FINITE_PARTS[system]
         part = table.get(key)
@@ -121,7 +121,7 @@ def _times_generator(system: RootSystem, u: FinitePart, j: int) -> FinitePart:
 
 def _act(system: RootSystem, u: FinitePart, mu: Vector) -> Vector:
     """u(mu) for a coweight mu: the sum of mu_j times the coroot of u(alpha_j)."""
-    coroot, image = system.root_index.coroot, (0,) * len(mu)
+    coroot, image = system.coroot, (0,) * len(mu)
     for c, r in zip(mu, u.key[1:]):
         if c:
             image = tuple(x + c * y for x, y in zip(image, coroot[r]))
@@ -238,15 +238,15 @@ def _step(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> tuple[Vecto
     u(theta^vee), minus the coroot of u(alpha_0)."""
     part = u._products[i] or _times_generator(system, u, i)
     if i == 0:
-        lam = tuple(map(sub, lam, system.root_index.coroot[u.key[0]]))
+        lam = tuple(map(sub, lam, system.coroot[u.key[0]]))
     return lam, part
 
 
 def _descends(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> bool:
     """True iff i is a right descent of t^lam u: its (level, height) pair is below (0, 0)."""
-    index, r = system.root_index, u.key[i]
-    level = (i == 0) - sum(map(mul, lam, index.dual[r]))
-    return level < 0 if level else index.height[r] < 0
+    r = u.key[i]
+    level = (i == 0) - sum(map(mul, lam, system.dual[r]))
+    return level < 0 if level else system.height[r] < 0
 
 
 def from_word(system: RootSystem, letters) -> AffineWeylElement:
@@ -314,8 +314,8 @@ def length(x: AffineWeylElement) -> int:
 
 def _root_pairs(x: AffineWeylElement) -> list[tuple[int, int]]:
     """The (level, height) pair of x(alpha_i) for each generator i."""
-    lam, index = x.translation, x.system.root_index
-    return [((i == 0) - sum(map(mul, lam, index.dual[r])), index.height[r])
+    lam, dual, height = x.translation, x.system.dual, x.system.height
+    return [((i == 0) - sum(map(mul, lam, dual[r])), height[r])
             for i, r in enumerate(x.finite.key)]
 
 

@@ -1,5 +1,7 @@
 """Root system construction, pairing and dominance."""
 
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,13 +55,16 @@ def test_a1_is_forced():
     assert rs.two_rho == (1,)
 
 
-def test_root_index_rejects_a_vector_beyond_the_roots():
-    # a corrupted reflection cannot grow the index without bound: once both
-    # roots of A1 are in, any new vector is no root
-    index = RootSystem("A", 1).root_index
-    assert index.roots == [(-1,), (1,)] and index.reflections[1][1] == 0
-    with pytest.raises(AssertionError, match="no root"):
-        index.intern((3,), (3,))
+def test_a_corrupted_reflection_fails_at_its_first_lookup():
+    # the table is closed: with alpha_1's coroot doubled, s_1(alpha_2) would be
+    # 2 alpha_1 + alpha_2, which has no index
+    a2 = build_root_system("A", 2)
+    assert a2.roots[a2.reflections[1][2]] == (1, 1)
+    rs = RootSystem("A", 2)
+    rs.coroot = tuple((2, 0) if r == 1 else c for r, c in enumerate(rs.coroot))
+    with pytest.raises(KeyError):
+        rs.reflections[1][2]
+    assert 2 not in rs.reflections[1]
 
 
 def test_a2_closure():
@@ -109,6 +114,31 @@ def test_type_invariants(lie_type, rank):
     for i in range(rank):
         assert sum(rs.cartan[k][i] * theta[k] for k in range(rank)) >= 0
     assert rs.two_rho == tuple(sum(col) for col in zip(*rs.positive_roots))
+
+
+@pytest.mark.parametrize("lie_type,rank", ALL_TYPES)
+def test_root_table(lie_type, rank):
+    # every root once: -theta, the simple roots, then the rest; the dual rows
+    # are computed here from cartan, and s_beta, made from the coroot, permutes
+    # the roots and sends beta to -beta, whose coroot is -beta^vee
+    rs = build_root_system(lie_type, rank)
+    negative = {tuple(-c for c in beta) for beta in rs.positive_roots}
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    assert len(set(rs.roots)) == len(rs.roots) == 2 * rs.num_positive_roots
+    assert set(rs.roots) == set(rs.positive_roots) | negative
+    assert rs.roots[:rank + 1] == (tuple(-c for c in rs.highest_root), *units)
+    assert len(rs.coroot) == len(rs.dual) == len(rs.height) == len(rs.reflections) == len(rs.roots)
+    index = {beta: r for r, beta in enumerate(rs.roots)}
+    for r, beta in enumerate(rs.roots):
+        assert rs.dual[r] == tuple(sum(rs.cartan[k][j] * beta[k] for k in range(rank))
+                                   for j in range(rank)), beta
+        assert rs.height[r] == sum(beta)
+        assert rs.pairing(rs.coroot[r], beta) == 2, beta
+        # <beta^vee, gamma> as the coroot against gamma's dual row, checked above
+        images = {tuple(g - sum(map(mul, rs.coroot[r], dual)) * b for g, b in zip(gamma, beta))
+                  for gamma, dual in zip(rs.roots, rs.dual)}
+        assert images == set(rs.roots), beta
+        assert rs.coroot[index[tuple(-c for c in beta)]] == tuple(-c for c in rs.coroot[r])
 
 
 @pytest.mark.parametrize("lie_type,rank", ALL_TYPES)
@@ -215,3 +245,16 @@ def test_one_object_per_type_and_rank():
     rs = build_root_system("C", 3)
     assert build_root_system(lie_type="C", rank=3) is rs
     assert build_root_system("C", rank=3.0) is rs
+
+
+@pytest.mark.parametrize("rank", [3.5, True, "3", 2.999])
+def test_rank_must_be_an_integer(rank):
+    # int() would truncate or parse each of these into a valid rank
+    with pytest.raises(ValueError, match="rank"):
+        build_root_system("A", rank)
+
+
+def test_rank_from_json_must_be_an_integer():
+    with pytest.raises(ValueError, match="rank"):
+        root_system_from_jsonable({"type": "G", "rank": "2"})
+    assert root_system_from_jsonable({"type": "G", "rank": 2}) is build_root_system("G", 2)

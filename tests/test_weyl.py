@@ -194,7 +194,7 @@ def _word_matrix(reflections, word):
 
 def _part_matrix(system, part):
     # the part's coweight matrix as the library sees it: column j is the coroot of u(alpha_j)
-    return tuple(zip(*(system.root_index.coroot[r] for r in part.key[1:])))
+    return tuple(zip(*(system.coroot[r] for r in part.key[1:])))
 
 
 @pytest.mark.parametrize("lie_type,rank,n", [("B", 3, 5), ("C", 3, 5), ("G", 2, 8),
@@ -202,11 +202,10 @@ def _part_matrix(system, part):
 def test_interned_parts_match_matrix_products(lie_type, rank, n):
     # oracle: plain products of the generator matrices along the reduced word,
     # R on roots and M on coweights.  Key entry i is the root R alpha_i, with
-    # alpha_0 = -theta; the root index holds its dual cartan^T R alpha_i, its
+    # alpha_0 = -theta; the root table holds its dual cartan^T R alpha_i, its
     # height ht(R alpha_i) and its coroot M alpha_i^vee, so that the i = 0
     # shift, minus the coroot of R alpha_0, is M theta_coroot.
     system = build_root_system(lie_type, rank)
-    index = system.root_index
     ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     cartan_t = tuple(zip(*system.cartan))
     simple = [tuple(-c for c in system.highest_root), *ident]
@@ -220,11 +219,11 @@ def test_interned_parts_match_matrix_products(lie_type, rank, n):
             assert _part_matrix(system, x.finite) == mat, x
             for i, (r, alpha, coroot) in enumerate(zip(x.finite.key, simple, simple_coroots)):
                 image = _matvec(root_mat, alpha)
-                assert index.roots[r] == image, (x, i)
-                assert index.dual[r] == _matvec(cartan_t, image), (x, i)
-                assert index.height[r] == sum(image), (x, i)
-                assert index.coroot[r] == _matvec(mat, coroot), (x, i)
-            shift = tuple(-c for c in index.coroot[x.finite.key[0]])
+                assert system.roots[r] == image, (x, i)
+                assert system.dual[r] == _matvec(cartan_t, image), (x, i)
+                assert system.height[r] == sum(image), (x, i)
+                assert system.coroot[r] == _matvec(mat, coroot), (x, i)
+            shift = tuple(-c for c in system.coroot[x.finite.key[0]])
             assert shift == _matvec(mat, system.highest_coroot), x
             assert length(AffineWeylElement(system, x.translation, x.finite)) == depth, x
 
@@ -250,24 +249,23 @@ def test_reflection_memo_matches_the_reflection_formula(lie_type, rank):
     # s_beta(gamma^vee) = gamma^vee - <gamma^vee, beta> beta^vee
     system = build_root_system(lie_type, rank)
     enumerate_ball(system, 6)
-    index = system.root_index
-    assert len(set(index.roots)) == len(index.roots)
-    for b, row in enumerate(index.reflections):
-        beta, beta_vee = index.roots[b], index.coroot[b]
+    for b, row in enumerate(system.reflections):
+        beta, beta_vee = system.roots[b], system.coroot[b]
         for g, r in row.items():
-            gamma, gamma_vee = index.roots[g], index.coroot[g]
+            gamma, gamma_vee = system.roots[g], system.coroot[g]
             a, c = system.pairing(beta_vee, gamma), system.pairing(gamma_vee, beta)
-            assert index.roots[r] == tuple(x - a * y for x, y in zip(gamma, beta)), (b, g)
-            assert index.coroot[r] == tuple(x - c * y for x, y in zip(gamma_vee, beta_vee)), (b, g)
+            assert system.roots[r] == tuple(x - a * y for x, y in zip(gamma, beta)), (b, g)
+            assert system.coroot[r] == tuple(x - c * y for x, y in zip(gamma_vee, beta_vee)), (b, g)
 
 
-def test_root_index_is_lazy():
-    # a fresh D32 holds no root index until a part is made, and eleven letters
-    # reach a few dozen of its 1,984 roots
+def test_reflection_memo_is_lazy():
+    # a fresh D32 lays out all 1,984 roots but reflects none until a part is
+    # made, and eleven letters fill a few hundred of the memo's entries
     d32 = RootSystem("D", 32)
-    assert "root_index" not in vars(d32)
+    assert len(d32.roots) == 2 * d32.num_positive_roots == 1984
+    assert not any(d32.reflections)
     assert length(from_word(d32, range(11))) == 11
-    assert len(d32.root_index.roots) < 100 < 2 * d32.num_positive_roots
+    assert sum(map(len, d32.reflections)) < 400
 
 
 def test_b3_and_c3_share_no_parts():

@@ -160,29 +160,34 @@ MUTANTS = {
         (WEYL, "reversed(_part_word(system, self.finite))",
          "reversed(_part_word(system, self.finite)[1:])", 1),
     ],
-    # the root index: dual rows, coroots and the reflection memo
+    # the root table: dual rows, coroots, negated rows and the reflection memo
     "identity-records-untransposed": [
-        (ROOTDATA, "sum(map(mul, row, root)) for row in self.system._a)",
-         "sum(map(mul, row, root)) for row in self.system.cartan)", 1),
+        (ROOTDATA, "zip(units, units, self.cartan)", "zip(units, units, zip(*self.cartan))", 1),
+        (ROOTDATA, "zip(dual, self.cartan[i])", "zip(dual, [row[i] for row in self.cartan])", 1),
     ],
     "affine-cartan-row-0-sign-flip": [
-        (ROOTDATA, "coroots = [tuple(-c for c in self.highest_coroot), *units]",
-         "coroots = [self.highest_coroot, *units]", 1),
+        (ROOTDATA, "sum(map(mul, self.coroot[j], self.dual[i]))",
+         "sum(map(mul, self.coroot[j] if j else self.highest_coroot, self.dual[i]))", 1),
     ],
     "i0-shift-dropped": [
-        (WEYL, "    if i == 0:\n        lam = tuple(map(sub, lam, system.root_index.coroot[u.key[0]]))\n",
+        (WEYL, "    if i == 0:\n        lam = tuple(map(sub, lam, system.coroot[u.key[0]]))\n",
          "", 1),
     ],
     "shift-update-dropped": [
-        (ROOTDATA, "tuple(x - c * y for x, y in zip(index.coroot[g], index.coroot[b]))",
-         "index.coroot[g]", 1),
+        (ROOTDATA, "coroot[:i] + (coroot[i] - d,) + coroot[i + 1:]", "coroot", 1),
     ],
     "rank-one-column-sign-for-j0": [
-        (ROOTDATA, "tuple(map(neg, system.highest_coroot))", "system.highest_coroot", 1),
+        (ROOTDATA, "table = [negated[t], *found,",
+         "table = [(negated[t][0], found[t][1], negated[t][2]), *found,", 1),
+    ],
+    "negative-root-dual-rows-unnegated": [
+        (ROOTDATA, "negated = [tuple(tuple(map(neg, row)) for row in record) for record in found]",
+         "negated = [(*(tuple(map(neg, row)) for row in record[:2]), record[2]) for record in found]",
+         1),
     ],
     "reflection-memo-sign-flip": [
-        (ROOTDATA, "tuple(x - a * y for x, y in zip(index.roots[g], index.roots[b]))",
-         "tuple(x + a * y for x, y in zip(index.roots[g], index.roots[b]))", 1),
+        (ROOTDATA, "tuple(x - a * y for x, y in zip(system.roots[g], system.roots[b]))",
+         "tuple(x + a * y for x, y in zip(system.roots[g], system.roots[b]))", 1),
     ],
     # ball enumeration and element identity
     "ball-keeps-largest-descent-parent": [
