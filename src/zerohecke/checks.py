@@ -4,22 +4,24 @@ Each suite replays one family of algebraic identities exhaustively on a
 length-truncated ball (plus a randomized linear-combination layer where
 coefficients matter) and returns a :class:`CheckReport`.  Failures carry
 the offending inputs and both sides in serialized form, so a reported
-counterexample can be replayed.
+counterexample can be replayed.  :data:`SUITES` maps each suite's name to
+its call at truncation N; :func:`run_suite` looks the name up there.
 
 Operator-level suites read ``kmodule.demazure_basis_target`` once per call
-into a run-local table of int class ids, with one step map per operator
-filled on a miss; a word moves a whole column of class ids one letter at
-a time.  No table outlives its call, so corrupting the rule (as the
-mutation-sanity tests do) corrupts the suites' subject and must surface
-as failures.  The compose, xi and words suites walk their columns along
-the canonical-word tree of a pool (:func:`_tree_columns`), each from its
-parent's in one step.  Compose finds each length-additive (u, v) from
-(u, v's parent) by one descent test; xi reads entry u of v's column against
-the Demazure product; words reads its count, edges and random-layer words
-off one weak-order DAG of one ball, stepping a column along each other edge.
-Braid, words and compose record failures only through :func:`_class_records`
-and :func:`_same_vectors`: the inputs, then ``basis`` or ``vector``, then
-``lhs``, ``rhs``.  Bruhat lower intervals are subword sets.
+into a run-local table of int class ids built from the suite's basis, so
+basis[k] is class k, with one step map per operator filled on a miss; a
+word moves a whole column of class ids one letter at a time.  No table
+outlives its call, so corrupting the rule (as the mutation-sanity tests do)
+corrupts the suites' subject and must surface as failures.  The compose, xi
+and words suites walk their columns along the canonical-word tree of a pool
+(:func:`_tree_columns`), each from its parent's in one step.  Compose finds
+each length-additive (u, v) from (u, v's parent) by one descent test; xi
+reads entry u of v's column against the Demazure product; words reads its
+count, edges and random-layer words off one weak-order DAG of one ball,
+stepping a column along each other edge.  Braid, words and compose record
+failures only through :func:`_class_records` and :func:`_same_vectors`: the
+inputs, then ``basis`` or ``vector``, then ``lhs``, ``rhs``.  Bruhat lower
+intervals are subword sets.
 """
 
 from __future__ import annotations
@@ -83,24 +85,25 @@ class _StepMap(dict):
 
 
 class _ClassTable:
-    """Basis classes interned as ints for one suite call.
+    """Classes interned as ints for one suite call, basis[k] as k.
 
     ``steps[i]`` sends a class id to the id of the class that operator i
     sends it to, filled on first use from the rule read at construction.
-    A column is a list of class ids; :meth:`walk` moves a whole column one
-    letter at a time.
+    A column is a list of class ids, the basis column ``range(len(basis))``;
+    :meth:`walk` moves a whole column one letter at a time.
     """
 
-    def __init__(self, system: RootSystem):
+    def __init__(self, system: RootSystem, basis):
         self.rule = kmodule.demazure_basis_target
-        self.ids: dict = {}
-        self.elements: list = []
+        self.elements = list(basis)
+        self.index = {w: k for k, w in enumerate(self.elements)}
+        self.basis = range(len(self.elements))
         self.steps = [_StepMap(self, i) for i in range(system.rank + 1)]
 
     def intern(self, w) -> int:
-        k = self.ids.get(w)
+        k = self.index.get(w)
         if k is None:
-            k = self.ids[w] = len(self.elements)
+            k = self.index[w] = len(self.elements)
             self.elements.append(w)
         return k
 
@@ -116,36 +119,35 @@ def _wordstr(x) -> list:
     return list(weyl.reduced_word(x))
 
 
-def _tree_columns(table: _ClassTable, ids, pool) -> dict:
-    """Canonical word -> ``ids`` walked along it, for each element of a pool in
-    ball order: one step from its canonical parent's column, made earlier."""
-    columns = {(): ids}
+def _tree_columns(table: _ClassTable, pool) -> dict:
+    """Canonical word -> the basis column walked along it, for each element of a
+    pool in ball order: one step from its canonical parent's column, made earlier."""
+    columns = {(): table.basis}
     for x in pool[1:]:
         wx = weyl.reduced_word(x)
         columns[wx] = table.walk(columns[wx[:-1]], wx[-1:])
     return columns
 
 
-def _class_records(report: CheckReport, table: _ClassTable, ids, left, rights):
-    """Record every class whose ``left`` column entry differs from a right
+def _class_records(report: CheckReport, table: _ClassTable, left, rights):
+    """Record every basis class whose ``left`` column entry differs from a right
     column's, by class, then by case; a right is (inputs, column)."""
-    elements = table.elements
-    for n, k in enumerate(ids):
+    if all(right == left for _, right in rights):
+        return
+    for k, lhs in enumerate(left):
         for inputs, right in rights:
-            if right[n] != left[n]:
-                report.fail({**inputs, "basis": _wordstr(elements[k]),
-                             "lhs": _wordstr(elements[left[n]]),
-                             "rhs": _wordstr(elements[right[n]])})
+            if right[k] != lhs:
+                report.fail({**inputs, "basis": _wordstr(table.elements[k]),
+                             "lhs": _wordstr(table.elements[lhs]),
+                             "rhs": _wordstr(table.elements[right[k]])})
 
 
-def _same_classes(report: CheckReport, table: _ClassTable, ids, lhs, cases):
-    """The column of class ids walked along ``lhs`` equals it walked along
-    every case's letters; a case is (inputs, letters), its inputs lead each record."""
-    report.count(len(ids) * len(cases))
-    left = table.walk(ids, lhs)
-    rights = [(inputs, table.walk(ids, letters)) for inputs, letters in cases]
-    if any(right != left for _, right in rights):
-        _class_records(report, table, ids, left, rights)
+def _same_classes(report: CheckReport, table: _ClassTable, lhs, cases):
+    """The basis column walked along ``lhs`` equals it walked along every
+    case's letters; a case is (inputs, letters), its inputs lead each record."""
+    report.count(len(table.basis) * len(cases))
+    _class_records(report, table, table.walk(table.basis, lhs),
+                   [(inputs, table.walk(table.basis, letters)) for inputs, letters in cases])
 
 
 def _same_vectors(report: CheckReport, v, lhs, cases):
@@ -215,9 +217,8 @@ def check_braid(
     """Alternating Demazure words of the Coxeter order agree, per generator pair."""
     rng = rng or random.Random(0)
     report = CheckReport("braid")
-    table = _ClassTable(system)
     ball = _flat_ball(system, basis_bound, max_elements)
-    ids = [table.intern(w) for w in ball]
+    table = _ClassTable(system, ball)
     ring = torus_ring(system, p)
     for i in range(system.rank + 1):
         for j in range(i + 1, system.rank + 1):
@@ -226,7 +227,7 @@ def check_braid(
                 continue
             word_ij, word_ji = ((i, j) * m)[:m], ((j, i) * m)[:m]
             cases = [({"i": i, "j": j, "m": m}, word_ji)]
-            _same_classes(report, table, ids, word_ij, cases)
+            _same_classes(report, table, word_ij, cases)
             for _ in range(n_random):
                 _same_vectors(report, _random_vector(system, ring, ball, rng), word_ij, cases)
     return report
@@ -245,27 +246,26 @@ def check_words(
     """Every reduced word of an element induces the same operator.
 
     The word ball is prefix-closed, so every reduced word of every y in it
-    walks ``ids`` to one column iff, for each right descent j of y but the
+    walks the basis column to one column iff, for each right descent j of y but the
     smallest, i0, canon(y s_j)'s column walked by j is that of
     canon(y) = canon(y s_i0) + (i0,): by induction on l(y), for any rule,
     as a reduced word of y ends in a descent j after one of y s_j.  A DP
     over the same edges lists y's reduced words in the order of
     ``weyl.all_reduced_words``: words(e) = [()], else w + (j,) for each
     descent j ascending and each w in words(y s_j), so canon(y) comes
-    first.  Each y counts len(ids) * (len(words(y)) - 1) instances.  The
+    first.  Each y counts len(basis) * (len(words(y)) - 1) instances.  The
     random layer draws vectors per element and walks each along every
     reduced word, which the induction does not cover.
     """
     rng = rng or random.Random(0)
     report = CheckReport("words")
-    table = _ClassTable(system)
     n = max(word_bound, basis_bound)
     shells = weyl.enumerate_ball(system, n, max_elements)
     ball = [x for shell in shells[:basis_bound + 1] for x in shell]
-    ids = [table.intern(w) for w in ball]
+    table = _ClassTable(system, ball)
     ring = torus_ring(system, p)
     pool = [x for shell in shells[:word_bound + 1] for x in shell]
-    columns = _tree_columns(table, ids, pool)
+    columns = _tree_columns(table, pool)
     canon = {x: weyl.reduced_word(x) for x in pool}
     words = {(): [()]}
     for y in pool[1:]:
@@ -274,12 +274,10 @@ def check_words(
         below = [(j, canon[weyl._mul_gen(y, j)])
                  for j in range(system.rank + 1) if weyl.is_right_descent(y, j)]
         ref, *others = words[wy] = [w + (j,) for j, wb in below for w in words[wb]]
-        report.count(len(ids) * len(others))
-        left = columns[wy]
-        rights = [({"element": list(wy), "word": list(w + (j,)), "reference_word": list(wy)},
-                   table.walk(columns[w], (j,))) for j, w in below[1:]]
-        if any(right != left for _, right in rights):
-            _class_records(report, table, ids, left, rights)
+        report.count(len(ball) * len(others))
+        _class_records(report, table, columns[wy], [
+            ({"element": list(wy), "word": list(w + (j,)), "reference_word": list(wy)},
+             table.walk(columns[w], (j,))) for j, w in below[1:]])
         cases = [({"element": list(wy), "word": list(other), "reference_word": list(ref)},
                   other) for other in others]
         for _ in range(n_random if others else 0):
@@ -300,18 +298,17 @@ def check_compose(
     """Composites multiply along lengths, and every generator is idempotent."""
     rng = rng or random.Random(0)
     report = CheckReport("compose")
-    table = _ClassTable(system)
     n = max(pair_bound, basis_bound)
     shells = weyl.enumerate_ball(system, n, max_elements)
     basis = [x for shell in shells[:basis_bound + 1] for x in shell]
-    ids = [table.intern(w) for w in basis]
+    table = _ClassTable(system, basis)
     ring = torus_ring(system, p)
 
     for s in range(system.rank + 1):
-        _same_classes(report, table, ids, (s, s), [({"generator": s}, (s,))])
+        _same_classes(report, table, (s, s), [({"generator": s}, (s,))])
 
     pool = [x for shell in shells[:pair_bound + 1] for x in shell]
-    columns = _tree_columns(table, ids, pool)
+    columns = _tree_columns(table, pool)
     # l(uv) <= l(u) + l(v) <= pair_bound, so uv is a pool element, whose
     # length and word the ball walk has already set
     pooled = {x: x for x in pool}
@@ -337,9 +334,8 @@ def check_compose(
             wuv = weyl.reduced_word(uv)
             inputs = {"u": list(wu), "v": list(wv)}
             pairs.append((wu + wv, [(inputs, wuv)]))
-            report.count(len(ids))
-            if column != columns[wuv]:
-                _class_records(report, table, ids, column, [(inputs, columns[wuv])])
+            report.count(len(basis))
+            _class_records(report, table, column, [(inputs, columns[wuv])])
     for _ in range(n_random if pairs else 0):
         lhs, cases = rng.choice(pairs)
         _same_vectors(report, _random_vector(system, ring, basis, rng), lhs, cases)
@@ -362,8 +358,8 @@ def check_xi(
     ball = _flat_ball(system, exhaustive_bound, max_elements)
     # Each side is one class with coefficient one: Y_u Y_v's at the Demazure
     # product of u and v, and the action's at entry u of v's column.
-    table = _ClassTable(system)
-    columns = _tree_columns(table, [table.intern(u) for u in ball], ball)
+    table = _ClassTable(system, ball)
+    columns = _tree_columns(table, ball)
     walked = [columns[weyl.reduced_word(v)] for v in ball]
     for n, u in enumerate(ball):
         report.count(len(ball))
@@ -468,21 +464,21 @@ def check_spherical(
         ]})
 
     starts = [kmodule.basis_class(w0, ring)]
-    if dom:
-        lam0 = max(dom, key=sum)
-        if sum(lam0) > 0:
-            starts.append(
-                kmodule.basis_class(w0 * weyl.translation_element(system, lam0), ring)
-            )
+    lam0 = max(dom, key=sum, default=())
+    if sum(lam0) > 0:
+        starts.append(kmodule.basis_class(w0 * weyl.translation_element(system, lam0), ring))
     pairs = system.dominant_coweights(pair_coord)
     for lam in pairs:
+        # no action applies to a key that escaped the submodule: it is recorded
+        mids = [kmodule.spherical_act(lam, v) for v in starts]
+        inside = [all(kmodule.is_spherical_key(system, key) for key in m.terms) for m in mids]
         for mu in pairs:
             total = tuple(a + b for a, b in zip(lam, mu))
-            for v in starts:
+            for v, mid, ok in zip(starts, mids, inside):
                 report.count()
-                lhs = kmodule.spherical_act(mu, kmodule.spherical_act(lam, v))
+                lhs = kmodule.spherical_act(mu, mid) if ok else mid
                 rhs = kmodule.spherical_act(total, v)
-                if lhs != rhs:
+                if ok and lhs != rhs:
                     report.fail({"lambda": list(lam), "mu": list(mu),
                                  "vector": kmodule.schubert_to_jsonable(v),
                                  "lhs": kmodule.schubert_to_jsonable(lhs),
@@ -560,17 +556,27 @@ def bruhat_subword_oracle(u, w) -> bool:
     return u in _subword_products(w.system, weyl.reduced_word(w))
 
 
-SUITES = (
-    "braid",
-    "words",
-    "compose",
-    "xi",
-    "theta",
-    "spherical",
-    "specialize",
-    "bruhat-oracle",
-    "length-formula",
-)
+# name: the suite's call at truncation n with the run's prime p, rng and ball bound
+SUITES = {
+    "braid": lambda system, p, n, rng, bound: check_braid(
+        system, p, basis_bound=n, rng=rng, max_elements=bound),
+    "words": lambda system, p, n, rng, bound: check_words(
+        system, p, word_bound=min(n, 6), basis_bound=n + 2, rng=rng, max_elements=bound),
+    "compose": lambda system, p, n, rng, bound: check_compose(
+        system, p, pair_bound=min(n, 6), basis_bound=n, rng=rng, max_elements=bound),
+    "xi": lambda system, p, n, rng, bound: check_xi(
+        system, p, exhaustive_bound=min(n, 4), n_random=200, rng=rng, max_elements=bound),
+    "theta": lambda system, p, n, rng, bound: check_theta(
+        system, p, max_coord=min(n, 3), rng=rng, max_elements=bound),
+    "spherical": lambda system, p, n, rng, bound: check_spherical(
+        system, p, max_coord=min(n, 4), max_elements=bound),
+    "specialize": lambda system, p, n, rng, bound: check_specialize(
+        system, p, n_instances=200, key_bound=min(n, 4), rng=rng, max_elements=bound),
+    "bruhat-oracle": lambda system, p, n, rng, bound: check_bruhat_oracle(
+        system, max_len=min(n, 5), max_elements=bound),
+    "length-formula": lambda system, p, n, rng, bound: check_length_formula(
+        system, max_coord=n, max_elements=bound),
+}
 
 
 def run_suite(
@@ -580,28 +586,6 @@ def run_suite(
     """Run one named suite at a scale driven by the configured truncation;
     every ball a suite reads is enumerated under ``max_elements``, and every
     box of coweights it scans has at most that many points."""
-    rng = random.Random(seed)
-    n, bound = max_length, max_elements
-    if name == "braid":
-        return check_braid(system, p, basis_bound=n, rng=rng, max_elements=bound)
-    if name == "words":
-        return check_words(system, p, word_bound=min(n, 6), basis_bound=n + 2, rng=rng,
-                           max_elements=bound)
-    if name == "compose":
-        return check_compose(system, p, pair_bound=min(n, 6), basis_bound=n, rng=rng,
-                             max_elements=bound)
-    if name == "xi":
-        return check_xi(system, p, exhaustive_bound=min(n, 4), n_random=200, rng=rng,
-                        max_elements=bound)
-    if name == "theta":
-        return check_theta(system, p, max_coord=min(n, 3), rng=rng, max_elements=bound)
-    if name == "spherical":
-        return check_spherical(system, p, max_coord=min(n, 4), max_elements=bound)
-    if name == "specialize":
-        return check_specialize(system, p, n_instances=200, key_bound=min(n, 4), rng=rng,
-                                max_elements=bound)
-    if name == "bruhat-oracle":
-        return check_bruhat_oracle(system, max_len=min(n, 5), max_elements=bound)
-    if name == "length-formula":
-        return check_length_formula(system, max_coord=n, max_elements=bound)
-    raise ValueError(f"unknown check suite {name!r}; choose from {SUITES} or 'all'")
+    if name not in SUITES:
+        raise ValueError(f"unknown check suite {name!r}; choose from {tuple(SUITES)} or 'all'")
+    return SUITES[name](system, p, max_length, random.Random(seed), max_elements)

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="operation and arguments, e.g. len [0,1]")
     p_compute.set_defaults(handler=cmd_compute)
     p_check = sub.add_parser("check", parents=[common], help="run a property suite")
-    p_check.add_argument("suite", choices=checks.SUITES + ("all",))
+    p_check.add_argument("suite", choices=(*checks.SUITES, "all"))
     p_check.set_defaults(handler=cmd_check)
     sub.add_parser("graph", parents=[common],
                    help="Bruhat Hasse diagram of the ball as DOT").set_defaults(handler=cmd_graph)

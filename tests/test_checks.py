@@ -1,12 +1,15 @@
 """The property-check suites: green runs, determinism, mutation detection."""
 
 import itertools
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from zerohecke import checks, hecke, kmodule, weyl
-from zerohecke.coeffs import torus_ring
+from zerohecke import checks, cli, hecke, kmodule, weyl
+from zerohecke.coeffs import FieldElement, torus_ring
 from zerohecke.rootdata import build_root_system
 
 A2 = build_root_system("A", 2)
@@ -525,6 +528,32 @@ def test_spherical_records_carry_both_sides(monkeypatch):
         assert record["lhs"] != record["rhs"]
 
 
+@pytest.mark.parametrize("lie_type", ["A", "C", "G"])
+def test_spherical_reports_keys_that_escape_the_submodule(monkeypatch, lie_type):
+    # the lowering rule sends the first action out of the submodule, where the
+    # second may not act: the suite records the escaped keys and returns
+    system = build_root_system(lie_type, 2)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _swap_branches)
+    report = checks.run_suite("spherical", system, 3, 3)
+    escaped = [record for record in report.failures if "escaped_key" in record]
+    assert escaped
+    for record in escaped:
+        assert set(record) == {"lambda", "mu", "escaped_key"}
+        key = weyl.from_word(system, record["escaped_key"])
+        assert not kmodule.is_spherical_key(system, key)
+
+
+def test_check_spherical_reports_escaped_keys_through_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _swap_branches)
+    assert cli.main(["check", "spherical", "--max-length", "3"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["check_name"] == "spherical" and report["failures"] and not err
+    assert cli.main(["check", "all", "--max-length", "3"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert [r["check_name"] for r in json.loads(out)] == list(checks.SUITES) and not err
+
+
 def _ref_words_random(system, word_bound, basis_bound, n_random, rng):
     records, later_cases = [], 0
     ring, ball = torus_ring(system, 3), _ball(system, basis_bound)
@@ -552,3 +581,75 @@ def test_vector_walk_matches_reference(monkeypatch):
                                rng=random.Random(0))
     records, later_cases = _ref_words_random(A2, 5, 3, 2, random.Random(0))
     assert words.failures == records and later_cases > 0
+
+
+# -- records that only a broken subject produces ---------------------------------------
+
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _schema_names() -> set:
+    """The record keys README's check-report schema names, in backquotes."""
+    start = _README.index("* check report:")
+    return set(re.findall(r"`(\w+)`", _README[start:_README.index("\n\n", start)]))
+
+
+def _twice(name):
+    first = checks.run_suite(name, A2, 3, 3, seed=2)
+    second = checks.run_suite(name, A2, 3, 3, seed=2)
+    assert first.failures == second.failures
+    return first.failures
+
+
+def test_length_formula_records_name_both_counts(monkeypatch):
+    # translations (and the identity) read one inversion too many
+    true_length = weyl.length
+    monkeypatch.setattr(weyl, "length", lambda x: true_length(x) + x.finite.is_identity())
+    records = _twice("length-formula")
+    assert len(records) == checks.run_suite("length-formula", A2, 3, 3).instance_count
+    assert {"inversions", "pairing"} <= _schema_names()
+    for record in records:
+        assert set(record) == {"lambda", "inversions", "pairing"}
+        assert record["inversions"] == record["pairing"] + 1
+
+
+def test_specialize_records_carry_both_sides(monkeypatch):
+    # only the first coefficient of each group-ring element survives specialization
+    monkeypatch.setattr(kmodule, "specialize_at_identity",
+                        lambda c: FieldElement(c.p, next(iter(c.terms.values()))))
+    records = _twice("specialize")
+    assert records
+    for record in records:
+        assert set(record) == {"vector", "hecke", "lhs", "rhs"} <= _schema_names()
+        assert record["lhs"] != record["rhs"]
+
+
+def test_spherical_records_name_missing_and_extra_keys(monkeypatch):
+    # the pullback forgets the longest finite element: no image key is hit
+    true_translation = weyl.translation_element
+    monkeypatch.setattr(kmodule, "grassmannian_pullback", lambda g: kmodule.SchubertVector(
+        g.system, g.ring, {true_translation(g.system, lam): c for lam, c in g.terms.items()}))
+    records = _twice("spherical")
+    dom = A2.dominant_coweights(3)
+    missing = [r for r in records if "missing_from_image" in r]
+    extra = [r for r in records if "extra_image_keys" in r]
+    assert [r["lambda"] for r in missing] == [list(lam) for lam in dom]
+    assert len(extra) == 1 and len(extra[0]["extra_image_keys"]) == len(dom)
+    assert len(missing) + len(extra) == len(records)
+    assert set(missing[0]) == {"lambda", "missing_from_image"}
+    assert set(extra[0]) == {"extra_image_keys"}
+    assert {"missing_from_image", "extra_image_keys"} <= _schema_names()
+
+
+def test_spherical_records_name_colliding_coweights(monkeypatch):
+    # translations clip each coordinate at 1: larger coweights collide with smaller ones
+    true_translation = weyl.translation_element
+    monkeypatch.setattr(weyl, "translation_element", lambda system, lam: true_translation(
+        system, tuple(min(c, 1) for c in lam)))
+    records = _twice("spherical")
+    collisions = [r for r in records if "collides_with" in r]
+    assert collisions and all(max(r["lambda"]) > 1 for r in collisions)
+    for record in collisions:
+        assert set(record) == {"lambda", "collides_with"} and "collides_with" in _schema_names()
+        clipped = [min(c, 1) for c in record["lambda"]]
+        assert [min(c, 1) for c in record["collides_with"]] == clipped

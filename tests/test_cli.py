@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zerohecke import cli, kmodule, weyl
+from zerohecke import checks, cli, kmodule, weyl
 from zerohecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
 
 
@@ -171,6 +171,16 @@ def test_cold_enumerate_serializes_each_element_once(tmp_path, capsys, monkeypat
             for x in shell]
     assert sum(g["count"] for g in json.loads(out)) == len(ball)
     assert len(calls) == len(ball) and set(calls) == set(ball)
+
+
+def test_enumerate_cache_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, out, err = run(capsys, "enumerate", "--max-length", "2", "--cache", str(blocker))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot write cache file {blocker / 'ball-A2-N2.json'}: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -381,6 +391,12 @@ def test_documented_grammar_names_exactly_the_operations():
     operations = set(cli._OPERATIONS) | {"hecke-mul"}
     assert _grammar_operations(readme) == operations
     assert _grammar_operations(cli.__doc__) == operations
+
+
+def test_documented_check_suites_are_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"`check` suites: `([^`]*)`", readme).group(1).split()
+    assert listed == [*checks.SUITES, "all"]
 
 
 def test_bad_prime_rejected(capsys):

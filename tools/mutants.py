@@ -31,8 +31,11 @@ WEYL, ROOTDATA = "src/zerohecke/weyl.py", "src/zerohecke/rootdata.py"
 CHECKS, KMODULE, CLI = "src/zerohecke/checks.py", "src/zerohecke/kmodule.py", "src/zerohecke/cli.py"
 COEFFS, HECKE = "src/zerohecke/coeffs.py", "src/zerohecke/hecke.py"
 # the acceptance suites run last: the unit tests kill most mutants within
-# seconds, before a mutant that makes the suites run away meets the timeout
-TESTS = sorted((str(path.relative_to(ROOT)) for path in (ROOT / "tests").glob("test_*.py")),
+# seconds, before a mutant that makes the suites run away meets the timeout.
+# test_mutants.py, which applies every mutant to the source, stays out: on a
+# mutated tree its own mutant's edits no longer apply, so it would kill them all.
+TESTS = sorted((str(path.relative_to(ROOT)) for path in (ROOT / "tests").glob("test_*.py")
+                if path.name != "test_mutants.py"),
                key=lambda name: (name.endswith("test_acceptance.py"), name))
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", *TESTS]
@@ -44,19 +47,30 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
 MUTANTS = {
     # class tables and the live Demazure rule
     "class-table-shared-across-calls": [
-        (CHECKS, "table = _ClassTable(system)",
-         "table = _SHARED.setdefault(system, _ClassTable(system))", 4),
-        (CHECKS, "def _wordstr(x) -> list:", "_SHARED = {}\n\n\ndef _wordstr(x) -> list:", 1),
+        (CHECKS, "class _ClassTable:", "class _FreshTable:", 1),
+        (CHECKS, "def _wordstr(x) -> list:",
+         "_SHARED = {}\n\n\ndef _ClassTable(system, basis):\n"
+         "    key = system, tuple(basis)\n"
+         "    if key not in _SHARED:\n        _SHARED[key] = _FreshTable(system, basis)\n"
+         "    return _SHARED[key]\n\n\ndef _wordstr(x) -> list:", 1),
+    ],
+    "basis-column-drops-last-class": [
+        (CHECKS, "self.basis = range(len(self.elements))",
+         "self.basis = range(len(self.elements) - 1)", 1),
     ],
     "class-record-lhs-rhs-swapped": [
-        (CHECKS, '"lhs": _wordstr(elements[left[n]]),\n',
-         '"lhs": _wordstr(elements[right[n]]),\n', 1),
-        (CHECKS, '"rhs": _wordstr(elements[right[n]])}',
-         '"rhs": _wordstr(elements[left[n]])}', 1),
+        (CHECKS, '"lhs": _wordstr(table.elements[lhs]),\n',
+         '"lhs": _wordstr(table.elements[right[k]]),\n', 1),
+        (CHECKS, '"rhs": _wordstr(table.elements[right[k]])}',
+         '"rhs": _wordstr(table.elements[lhs])}', 1),
     ],
     "class-records-stop-at-first-difference": [
-        (CHECKS, '"rhs": _wordstr(elements[right[n]])})\n',
-         '"rhs": _wordstr(elements[right[n]])})\n                return\n', 1),
+        (CHECKS, '"rhs": _wordstr(table.elements[right[k]])})\n',
+         '"rhs": _wordstr(table.elements[right[k]])})\n                return\n', 1),
+    ],
+    # the suite table: each name's call at truncation N
+    "words-basis-one-short": [
+        (CHECKS, "basis_bound=n + 2", "basis_bound=n + 1", 1),
     ],
     # the canonical-word tree that compose, xi and words share
     "compose-column-steps-first-letter": [
