@@ -161,19 +161,41 @@ def _same_vectors(report: CheckReport, v, lhs, cases):
             report.fail({**inputs, "vector": js(v), "lhs": js(left), "rhs": js(right)})
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, drawn as ``random.Random`` draws it: getrandbits of
+    n's bit length, again while the draw is n or more.  The same stream, without
+    randrange's argument handling."""
+    if n < 1:
+        raise ValueError(f"empty range for _below: {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_terms(ring, pool, rng: random.Random) -> dict:
     """1..3 pool keys, each with a monomial of the torus ring and a nonzero
-    coefficient: canonical by construction, so never validated."""
+    coefficient: canonical by construction, so never validated.  The terms are
+    a fixed function of rng's state, drawn as ``randrange`` and ``choice`` draw
+    them: the count, then per term the exponents, the coefficient and the key."""
     terms = {}
-    for _ in range(rng.randrange(1, 4)):
-        exps = tuple([rng.randrange(-2, 3) for _ in range(ring.nvars)])
-        terms[rng.choice(pool)] = GroupRingElement._from_canonical(
-            ring.p, ring.nvars, {exps: rng.randrange(1, ring.p)})
+    for _ in range(1 + _below(rng, 3)):
+        exps = tuple([_below(rng, 5) - 2 for _ in range(ring.nvars)])
+        coeff = 1 + _below(rng, ring.p - 1)
+        terms[pool[_below(rng, len(pool))]] = GroupRingElement._from_canonical(
+            ring.p, ring.nvars, {exps: coeff})
     return terms
 
 
 def _random_vector(system, ring, pool, rng: random.Random):
     return kmodule.SchubertVector._from_canonical(system, ring, _random_terms(ring, pool, rng))
+
+
+def _escaped_keys(system: RootSystem, vectors) -> dict:
+    """The keys of the vectors outside the spherical submodule, each once, in order."""
+    return dict.fromkeys(key for v in vectors for key in v.terms
+                         if not kmodule.is_spherical_key(system, key))
 
 
 def _bound_box(name: str, system: RootSystem, max_coord: int, max_elements: int):
@@ -337,7 +359,7 @@ def check_compose(
             report.count(len(basis))
             _class_records(report, table, column, [(inputs, columns[wuv])])
     for _ in range(n_random if pairs else 0):
-        lhs, cases = rng.choice(pairs)
+        lhs, cases = pairs[_below(rng, len(pairs))]
         _same_vectors(report, _random_vector(system, ring, basis, rng), lhs, cases)
     return report
 
@@ -415,8 +437,8 @@ def check_theta(
                              "lhs": hecke.to_jsonable(lhs), "rhs": hecke.to_jsonable(rhs)})
     for _ in range(n_random):
         report.count()
-        a = monoid_monomial(system, p, rng.choice(dom), rng.randrange(1, p))
-        b = monoid_monomial(system, p, rng.choice(dom), rng.randrange(1, p))
+        a = monoid_monomial(system, p, dom[_below(rng, len(dom))], 1 + _below(rng, p - 1))
+        b = monoid_monomial(system, p, dom[_below(rng, len(dom))], 1 + _below(rng, p - 1))
         lhs = hecke.embed_dominant(a * b)
         rhs = hecke.multiply_hecke(hecke.embed_dominant(a), hecke.embed_dominant(b))
         if lhs != rhs:
@@ -469,24 +491,26 @@ def check_spherical(
         starts.append(kmodule.basis_class(w0 * weyl.translation_element(system, lam0), ring))
     pairs = system.dominant_coweights(pair_coord)
     for lam in pairs:
-        # no action applies to a key that escaped the submodule: it is recorded
+        # a key that escaped the submodule is recorded once, under the action it
+        # escaped, λ's here and μ's below; no further action applies to it
         mids = [kmodule.spherical_act(lam, v) for v in starts]
-        inside = [all(kmodule.is_spherical_key(system, key) for key in m.terms) for m in mids]
+        escaped = _escaped_keys(system, mids)
+        for key in escaped:
+            report.fail({"lambda": list(lam), "escaped_key": _wordstr(key)})
+        acting = [(v, mid) for v, mid in zip(starts, mids) if escaped.keys().isdisjoint(mid.terms)]
         for mu in pairs:
             total = tuple(a + b for a, b in zip(lam, mu))
-            for v, mid, ok in zip(starts, mids, inside):
-                report.count()
-                lhs = kmodule.spherical_act(mu, mid) if ok else mid
-                rhs = kmodule.spherical_act(total, v)
-                if ok and lhs != rhs:
+            report.count(len(starts))
+            sides = [(v, kmodule.spherical_act(mu, mid), kmodule.spherical_act(total, v))
+                     for v, mid in acting]
+            for v, lhs, rhs in sides:
+                if lhs != rhs:
                     report.fail({"lambda": list(lam), "mu": list(mu),
                                  "vector": kmodule.schubert_to_jsonable(v),
                                  "lhs": kmodule.schubert_to_jsonable(lhs),
                                  "rhs": kmodule.schubert_to_jsonable(rhs)})
-                for key in lhs.terms:
-                    if not kmodule.is_spherical_key(system, key):
-                        report.fail({"lambda": list(lam), "mu": list(mu),
-                                     "escaped_key": _wordstr(key)})
+            for key in _escaped_keys(system, [lhs for _, lhs, _ in sides]):
+                report.fail({"lambda": list(lam), "mu": list(mu), "escaped_key": _wordstr(key)})
     return report
 
 
@@ -512,8 +536,9 @@ def check_specialize(
         report.count()
         v = _random_vector(system, ring, ball, rng)
         terms = {}
-        for _ in range(rng.randrange(1, 3)):
-            terms[rng.choice(ops)] = field.from_int(rng.randrange(1, p))
+        for _ in range(1 + _below(rng, 2)):
+            coeff = 1 + _below(rng, p - 1)
+            terms[ops[_below(rng, len(ops))]] = field.from_int(coeff)
         h = hecke.HeckeElement._from_canonical(system, field, terms)
         lhs = kmodule.specialize(kmodule.hecke_act(v, h))
         rhs = kmodule.hecke_act(kmodule.specialize(v), h)

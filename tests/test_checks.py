@@ -60,6 +60,45 @@ def test_random_instances_are_pinned():
     assert rng.random() == 0.9720932443736168
 
 
+_SMALL_SEEDED = {
+    "braid": lambda p, rng: checks.check_braid(A2, p, basis_bound=3, n_random=5, rng=rng),
+    "words": lambda p, rng: checks.check_words(
+        A2, p, word_bound=3, basis_bound=3, n_random=2, rng=rng),
+    "compose": lambda p, rng: checks.check_compose(
+        A2, p, pair_bound=3, basis_bound=3, n_random=5, rng=rng),
+    "theta": lambda p, rng: checks.check_theta(A2, p, max_coord=1, n_random=5, rng=rng),
+}
+
+
+@pytest.mark.parametrize("name,p,count,after", [
+    ("braid", 2, 72, 0.5442354114772292),
+    ("braid", 1000003, 72, 0.9369691586445807),
+    ("words", 2, 63, 0.5512672460905512),
+    ("words", 1000003, 63, 0.44796957143557037),
+    ("compose", 2, 1316, 0.08044581855253541),
+    ("compose", 1000003, 1316, 0.44796957143557037),
+    ("theta", 2, 9, 0.47214271545271336),
+    ("theta", 1000003, 9, 0.799402574081021),
+])
+def test_other_seeded_suites_are_pinned(name, p, count, after):
+    """Each seeded suite leaves its generator where the same draws, in the same
+    order, leave it: a slip in the order or the range of one draw moves it."""
+    rng = random.Random(0)
+    report = _SMALL_SEEDED[name](p, rng)
+    assert (report.instance_count, report.failures) == (count, [])
+    assert rng.random() == after
+
+
+def test_below_draws_as_randrange():
+    for n in (1, 2, 3, 5, 31, 2**20, 2**20 + 1, 1000002):
+        a, b = random.Random(n), random.Random(n)
+        assert [checks._below(a, n) for _ in range(500)] == [b.randrange(n) for _ in range(500)]
+        assert a.getstate() == b.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            checks._below(random.Random(0), n)
+
+
 def test_reports_are_deterministic_given_seed():
     a = checks.run_suite("xi", A2, 3, 3, seed=42)
     b = checks.run_suite("xi", A2, 3, 3, seed=42)
@@ -537,10 +576,40 @@ def test_spherical_reports_keys_that_escape_the_submodule(monkeypatch, lie_type)
     report = checks.run_suite("spherical", system, 3, 3)
     escaped = [record for record in report.failures if "escaped_key" in record]
     assert escaped
+    # an escape of the first action names λ alone, one of the second also its μ
+    assert {frozenset(record) for record in escaped} == {
+        frozenset({"lambda", "escaped_key"}), frozenset({"lambda", "mu", "escaped_key"})}
     for record in escaped:
-        assert set(record) == {"lambda", "mu", "escaped_key"}
         key = weyl.from_word(system, record["escaped_key"])
         assert not kmodule.is_spherical_key(system, key)
+
+
+@pytest.mark.parametrize("lie_type", ["A", "C", "G"])
+def test_spherical_records_each_escape_once(monkeypatch, lie_type):
+    # an escape of act(λ, start) is one record under λ alone, whatever μ the
+    # pair box holds; only an escape of act(μ, act(λ, start)) names its μ
+    system = build_root_system(lie_type, 2)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _swap_branches)
+    report = checks.run_suite("spherical", system, 3, 3)
+    ring, w0 = torus_ring(system, 3), weyl.longest_finite_element(system)
+    lam0 = max(system.dominant_coweights(3), key=sum)
+    starts = [kmodule.basis_class(w0, ring),
+              kmodule.basis_class(w0 * weyl.translation_element(system, lam0), ring)]
+    pairs = [tuple(lam) for lam in system.dominant_coweights(2)]
+
+    def out(v):
+        return {weyl.reduced_word(key) for key in v.terms
+                if not kmodule.is_spherical_key(system, key)}
+
+    mids = [(lam, kmodule.spherical_act(lam, v)) for lam in pairs for v in starts]
+    first = {(lam, (), key) for lam, mid in mids for key in out(mid)}
+    second = {(lam, mu, key) for lam, mid in mids if not out(mid)
+              for mu in pairs for key in out(kmodule.spherical_act(mu, mid))}
+    escapes = [(tuple(r["lambda"]), tuple(r.get("mu", ())), tuple(r["escaped_key"]))
+               for r in report.failures if "escaped_key" in r]
+    assert first and second
+    assert len(set(escapes)) == len(escapes)
+    assert set(escapes) == first | second
 
 
 def test_check_spherical_reports_escaped_keys_through_the_cli(monkeypatch, capsys):

@@ -68,6 +68,18 @@ MUTANTS = {
         (CHECKS, '"rhs": _wordstr(table.elements[right[k]])})\n',
          '"rhs": _wordstr(table.elements[right[k]])})\n                return\n', 1),
     ],
+    # random inputs: randrange's stream, drawn straight from getrandbits
+    "below-accepts-n": [
+        (CHECKS, "while r >= n:", "while r > n:", 1),
+    ],
+    "random-coefficient-drawn-after-key": [
+        (CHECKS, "        coeff = 1 + _below(rng, ring.p - 1)\n"
+                 "        terms[pool[_below(rng, len(pool))]] = GroupRingElement._from_canonical(\n"
+                 "            ring.p, ring.nvars, {exps: coeff})",
+         "        key = pool[_below(rng, len(pool))]\n"
+         "        terms[key] = GroupRingElement._from_canonical(\n"
+         "            ring.p, ring.nvars, {exps: 1 + _below(rng, ring.p - 1)})", 1),
+    ],
     # the suite table: each name's call at truncation N
     "words-basis-one-short": [
         (CHECKS, "basis_bound=n + 2", "basis_bound=n + 1", 1),
