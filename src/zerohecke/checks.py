@@ -28,19 +28,26 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
 
 from . import hecke, kmodule, weyl
 from .coeffs import GroupRingElement, PrimeField, monoid_monomial, torus_ring
 from .rootdata import RootSystem
 
 
-@dataclass
 class CheckReport:
-    check_name: str
-    instance_count: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """One suite's result: its name, instances checked, failure records, seconds."""
+
+    __slots__ = ("check_name", "instance_count", "failures", "elapsed")
+
+    def __init__(self, check_name: str):
+        self.check_name = check_name
+        self.instance_count = 0
+        self.failures = []
+        self.elapsed = 0.0
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_jsonable().items())
+        return f"CheckReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -53,7 +60,8 @@ class CheckReport:
         self.failures.append(record)
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        return {"check_name": self.check_name, "instance_count": self.instance_count,
+                "failures": list(self.failures), "elapsed": self.elapsed}
 
 
 def _timed(fn):

@@ -216,11 +216,11 @@ def _parse_operand(env: _Env, token: str, pos: int):
             break
     else:
         raise UsageError(f"{where}: expected [..], e{{..}}, Y[..] or S[..]")
-    body = token[len(opening):-1].strip()
-    try:  # int alone would also read +1, 1_0 and non-ASCII digits
-        if not re.fullmatch(r"[0-9,\s-]*", body):
+    body = token[len(opening):-1]
+    try:  # int and strip alone would also read +1, 1_0 and non-ASCII digits and spaces
+        if not re.fullmatch(r"[0-9,\s-]*", body, re.ASCII):
             raise ValueError(body)
-        values = [int(t) for t in body.split(",")] if body else []
+        values = [int(t) for t in body.split(",")] if body.strip() else []
     except ValueError:
         raise UsageError(f"{where}: expected comma-separated integers")
     if kind == "coweight":

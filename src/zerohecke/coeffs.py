@@ -12,11 +12,9 @@ guard against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from operator import add
-from typing import Iterable, Mapping
 
 from .rootdata import RootSystem, Vector
 
@@ -310,14 +308,42 @@ def specialize_at_identity(a: GroupRingElement) -> FieldElement:
 
 # HeckeElement and SchubertVector are generic over their coefficient ring;
 # these two small descriptors carry the parameters and build constants.
+# Each is equal and hashed by its parameters within its class.
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class _Frozen:
+    """Slots set once by ``__init__``; assigning or deleting one raises AttributeError."""
 
-    def __post_init__(self):
-        _check_prime(self.p)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class PrimeField(_Frozen):
+    """GF(p) for a prime p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        object.__setattr__(self, "p", _check_prime(p))
+
+    def __eq__(self, other):
+        if type(other) is not PrimeField:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"PrimeField(p={self.p!r})"
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     @property
     def field(self) -> PrimeField:
@@ -341,17 +367,36 @@ class PrimeField:
         return {key: FieldElement(p, r) for key, raw in acc.items() if (r := raw % p)}
 
 
-@dataclass(frozen=True)
-class TorusRing:
-    p: int
-    nvars: int
-    # GF(p), built once per ring: coefficients specialize into it
-    field: PrimeField = dataclasses.field(init=False, repr=False, compare=False)
+class TorusRing(_Frozen):
+    """The torus group ring over GF(p) in ``nvars`` exponents.
 
-    def __post_init__(self):
-        object.__setattr__(self, "field", PrimeField(self.p))
-        if self.nvars < 1:
+    ``field`` is GF(p), built once per ring: coefficients specialize into
+    it.  It takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("p", "nvars", "field")
+
+    def __init__(self, p: int, nvars: int):
+        field = PrimeField(p)
+        if nvars < 1:
             raise ValueError("torus ring needs at least one exponent")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "field", field)
+
+    def __eq__(self, other):
+        if type(other) is not TorusRing:
+            return NotImplemented
+        return self.p == other.p and self.nvars == other.nvars
+
+    def __hash__(self):
+        return hash((self.p, self.nvars))
+
+    def __repr__(self):
+        return f"TorusRing(p={self.p!r}, nvars={self.nvars!r})"
+
+    def __reduce__(self):
+        return TorusRing, (self.p, self.nvars)
 
     def zero(self) -> GroupRingElement:
         return GroupRingElement(self.p, self.nvars)

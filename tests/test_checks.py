@@ -143,8 +143,26 @@ def test_theta_and_spherical_counts_and_bound(lie_type, rank, theta, spherical):
 def test_report_jsonable_shape():
     report = checks.run_suite("length-formula", A2, 3, 2)
     data = report.to_jsonable()
-    assert set(data) == {"check_name", "instance_count", "failures", "elapsed"}
+    # check prints reports with json.dumps(sort_keys=False): this order is its output
+    assert list(data) == ["check_name", "instance_count", "failures", "elapsed"]
     assert data["check_name"] == "length-formula"
+
+
+def test_report_counts_records_and_serializes_its_failures():
+    report = checks.CheckReport("braid")
+    assert report.to_jsonable() == {
+        "check_name": "braid", "instance_count": 0, "failures": [], "elapsed": 0.0}
+    assert report.passed
+    report.count()
+    report.count(4)
+    report.fail({"word": [0, 1]})
+    data = report.to_jsonable()
+    assert (data["instance_count"], data["failures"]) == (5, [{"word": [0, 1]}])
+    assert not report.passed
+    data["failures"].append({})  # the JSON is a copy: the report keeps its own list
+    assert report.failures == [{"word": [0, 1]}]
+    assert repr(report) == ("CheckReport(check_name='braid', instance_count=5, "
+                            "failures=[{'word': [0, 1]}], elapsed=0.0)")
 
 
 _RELATIONS_SCALE = {

@@ -334,6 +334,21 @@ def test_expression_usage_error_lines_are_pinned(capsys, argv, line):
 def test_operand_items_may_carry_surrounding_spaces(capsys):
     assert run(capsys, "compute", "--rank", "2", "len", "[0, 1]") == (EXIT_OK, "2\n", "")
     assert run(capsys, "compute", "--rank", "2", "theta", "e{ 1 , 1 }")[0] == EXIT_OK
+    assert run(capsys, "compute", "--rank", "2", "len", "[ 0,\t1\t]") == (EXIT_OK, "2\n", "")
+    assert run(capsys, "compute", "--rank", "2", "theta", "e{\t1 ,1 }")[0] == EXIT_OK
+
+
+# no-break, em and ideographic space: Unicode-aware \s, strip() and int() accept them
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
+@pytest.mark.parametrize("op,token", [
+    ("len", "[0,{s}1]"), ("len", "[{s}0,1]"), ("len", "[0,1{s}]"), ("len", "[{s}]"),
+    ("theta", "e{{1,{s}1}}"), ("theta", "e{{{s}1,1}}"), ("theta", "e{{1,1{s}}}"),
+])
+def test_operand_spaces_are_ascii_only(capsys, space, op, token):
+    token = token.format(s=space)
+    assert run(capsys, "compute", "--rank", "2", op, token) == (
+        EXIT_USAGE, "",
+        f"error: parse error at token 1 ({token!r}): expected comma-separated integers\n")
 
 
 def _twisted(coeff, sign: int, p: int):

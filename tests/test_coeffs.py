@@ -1,6 +1,8 @@
 """GF(p) arithmetic, the torus group ring, and the dominant monoid ring."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -51,10 +53,12 @@ def test_field_mixed_characteristics_rejected():
 
 
 def test_prime_field_descriptor_rejects_composites():
-    with pytest.raises(ValueError, match="not prime"):
-        PrimeField(6)
-    with pytest.raises(ValueError, match="not prime"):
-        TorusRing(9, 2)
+    # the ring checks its prime before its exponent count
+    for args in ((6,), (4,), (1,), (9, 2), (4, 0)):
+        with pytest.raises(ValueError, match="not prime"):
+            (PrimeField if len(args) == 1 else TorusRing)(*args)
+    with pytest.raises(ValueError, match="at least one exponent"):
+        TorusRing(3, 0)
 
 
 def test_torus_ring_carries_its_field_outside_equality():
@@ -63,6 +67,33 @@ def test_torus_ring_carries_its_field_outside_equality():
     assert ring.field.field is ring.field
     assert ring == TorusRing(3, 2) and hash(ring) == hash(TorusRing(3, 2))
     assert repr(ring) == "TorusRing(p=3, nvars=2)"
+    assert ring.field is ring.field
+
+
+def test_ring_descriptors_compare_by_class_and_parameters():
+    assert repr(PrimeField(3)) == "PrimeField(p=3)"
+    assert PrimeField(3) == PrimeField(3) and hash(PrimeField(3)) == hash(PrimeField(3))
+    assert PrimeField(3) != PrimeField(5)
+    assert TorusRing(3, 2) != TorusRing(3, 3) and TorusRing(3, 2) != TorusRing(5, 2)
+    assert PrimeField(3) != TorusRing(3, 1) and TorusRing(3, 1) != PrimeField(3)
+    assert PrimeField(3).__eq__(3) is NotImplemented
+    assert TorusRing(3, 1).__eq__(PrimeField(3)) is NotImplemented
+    assert len({PrimeField(3), PrimeField(3), TorusRing(3, 2), TorusRing(3, 2)}) == 2
+
+
+def test_ring_descriptors_are_immutable_and_copy_whole():
+    ring, field = TorusRing(3, 2), PrimeField(3)
+    for obj, name in ((ring, "p"), (ring, "nvars"), (ring, "field"), (ring, "other"),
+                      (field, "p"), (field, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (ring.p, ring.nvars, field.p) == (3, 2, 3)
+    for obj in (ring, field):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and repr(twin) == repr(obj)
+    assert pickle.loads(pickle.dumps(ring)).field == field
 
 
 # -- torus group ring --------------------------------------------------------------

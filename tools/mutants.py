@@ -162,6 +162,18 @@ MUTANTS = {
         (COEFFS, "and (self._first, self._second) == (other._first, other._second)",
          "and self._first == other._first", 1),
     ],
+    # the ring descriptors and the check report: validation, equality and JSON by hand
+    "prime-field-skips-primality-check": [
+        (COEFFS, 'object.__setattr__(self, "p", _check_prime(p))',
+         'object.__setattr__(self, "p", p)', 1),
+    ],
+    "torus-ring-eq-ignores-nvars": [
+        (COEFFS, "return self.p == other.p and self.nvars == other.nvars",
+         "return self.p == other.p", 1),
+    ],
+    "check-report-drops-failures-from-json": [
+        (CHECKS, '"failures": list(self.failures)', '"failures": []', 1),
+    ],
     # the ball cache: a hit serves the stored element JSON
     "cache-hit-skips-element-check": [
         (CLI, "                for shell in shells:\n                    for e in shell:\n"
