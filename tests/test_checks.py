@@ -419,6 +419,67 @@ def test_compose_finds_additive_pairs_without_products(monkeypatch, lie_type, ra
     assert report.instance_count == len(_ball(system, 3)) * (additive + rank + 1)
 
 
+def _fix_letter_zero_at_length_two(w, i):
+    # operator 0 fixes the classes of length 2: a few columns differ, deep in the pool
+    if i == 0 and weyl.length(w) == 2:
+        return w
+    return _TRUE_RULE(w, i)
+
+
+def _per_pair_compose(system, pair_bound, basis_bound):
+    # compose's exhaustive layer with every additive pair's column walked from
+    # u's tree column along v's whole word: no pair is derived from another
+    report = checks.CheckReport("compose")
+    shells = weyl.enumerate_ball(system, max(pair_bound, basis_bound))
+    basis = [x for shell in shells[:basis_bound + 1] for x in shell]
+    table = checks._ClassTable(system, basis)
+    for s in range(system.rank + 1):
+        checks._same_classes(report, table, (s, s), [({"generator": s}, (s,))])
+    pool = [x for shell in shells[:pair_bound + 1] for x in shell]
+    columns = checks._tree_columns(table, pool)
+    pairs = []
+    for u in pool:
+        for v in pool:
+            lu, lv = weyl.length(u), weyl.length(v)
+            if not 0 < lu + lv <= pair_bound or weyl.length(u * v) != lu + lv:
+                continue
+            wu, wv, wuv = weyl.reduced_word(u), weyl.reduced_word(v), weyl.reduced_word(u * v)
+            inputs = {"u": list(wu), "v": list(wv)}
+            pairs.append((wu + wv, [(inputs, wuv)]))
+            report.count(len(basis))
+            checks._class_records(report, table, table.walk(columns[wu], wv),
+                                  [(inputs, columns[wuv])])
+    return report, basis, pairs
+
+
+@pytest.mark.parametrize("mutation", [_TRUE_RULE, _flip_descent_branch, _swap_branches,
+                                      _stall_length_three, _fix_letter_zero_at_length_two])
+@pytest.mark.parametrize("lie_type,rank,pair_bound,basis_bound",
+                         [("A", 2, 5, 6), ("C", 2, 5, 6), ("G", 2, 5, 6), ("A", 3, 4, 4),
+                          ("B", 3, 3, 4)])
+def test_compose_matches_the_per_pair_walk(monkeypatch, mutation, lie_type, rank,
+                                           pair_bound, basis_bound):
+    system = build_root_system(lie_type, rank)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", mutation)
+    exhaustive, basis, pairs = _per_pair_compose(system, pair_bound, basis_bound)
+    for p, seed in itertools.product((2, 3), (0, 1)):
+        # the random layer as check_compose draws it, after the exhaustive one
+        report, rng = checks.CheckReport("compose"), random.Random(seed)
+        report.count(exhaustive.instance_count)
+        report.failures = list(exhaustive.failures)
+        for _ in range(20):
+            lhs, cases = pairs[checks._below(rng, len(pairs))]
+            vector = checks._random_vector(system, torus_ring(system, p), basis, rng)
+            checks._same_vectors(report, vector, lhs, cases)
+        got_rng = random.Random(seed)
+        got = checks.check_compose(system, p, pair_bound=pair_bound, basis_bound=basis_bound,
+                                   rng=got_rng).to_jsonable()
+        want = report.to_jsonable()
+        del got["elapsed"], want["elapsed"]
+        assert json.dumps(got) == json.dumps(want)
+        assert got_rng.getstate() == rng.getstate()
+
+
 def _at_descent_edges(system, records):
     # the per-word records whose word is canon(y s_j) + (j,) for a right
     # descent j of the element y other than its smallest: one per DAG edge

@@ -96,6 +96,15 @@ MUTANTS = {
     "compose-pairs-keep-the-parent-product": [
         (CHECKS, "pooled[weyl._mul_gen(uv, wv[-1])]", "pooled[uv]", 1),
     ],
+    # and (u, v' s_j)'s column from (u, v')'s: tree edges keep "uv's tree column",
+    # each non-tree edge is walked once, and below a pair that differed columns walk on
+    "compose-edge-memo-drops-its-letter": [
+        (CHECKS, "if (wx, wv[-1]) not in edges:", "if wx not in edges:", 1),
+        (CHECKS, "edges[wx, wv[-1]]", "edges[wx]", 2),
+    ],
+    "compose-resumes-tree-column-after-a-difference": [
+        (CHECKS, "walked[wv] = uv, wuv, column", "walked[wv] = uv, wuv, None", 1),
+    ],
     # words on the weak-order DAG: every descent edge, and reduced words listed over all
     # of them, whose list also gives the random layer its cases
     "words-compares-one-descent-pair": [
