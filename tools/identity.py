@@ -15,8 +15,9 @@ files mean the change kept every output byte-identical.
 
 ``--src`` imports ``zerohecke`` from DIR, the ``src`` of another checkout,
 so one copy of this script measures any commit; the default is this
-repository's ``src``.  ``--compare`` prints every name whose digest differs or that only one file
-holds, and exits 1 if there is any.  Standard library only.
+repository's ``src``.  ``--compare`` prints every name whose digest differs
+or that only one file holds, and exits 1 if there is any.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# truncation N per system for every suite, and the broken rules' suites
+# (type, rank, truncation N) of every suite run; the suites also run under
+# each broken rule
 SYSTEMS = (("A", 2, 5), ("A", 3, 5), ("C", 2, 5), ("G", 2, 5), ("B", 3, 4),
            ("D", 4, 3), ("E", 6, 3))
 PRIMES, SEEDS = (2, 3), (0, 1)
