@@ -17,13 +17,13 @@ and words suites walk their columns along the canonical-word tree of a pool
 (:func:`_tree_columns`), each from its parent's in one step.  Compose finds
 each length-additive (u, v) from (u, v's parent) by one descent test and
 its verdict across one edge, walking only non-tree edges, once each, and
-pairs below one that differed (258 columns -> 12 on A2 N=5, 5,570 -> 826 on
-E8 N=4); xi reads entry u of v's column against the Demazure product; words
-reads its count, edges and random-layer words off one weak-order DAG of one
-ball, stepping a column along each other edge.  Braid, words and compose
-record failures only through :func:`_class_records` and
-:func:`_same_vectors`: the inputs, then ``basis`` or ``vector``, then
-``lhs``, ``rhs``.  Bruhat lower intervals are subword sets.
+pairs below one that differed; xi reads entry u of v's column against the
+Demazure product; words reads its count, edges and random-layer words off
+one weak-order DAG of one ball, stepping a column along each other edge.
+Braid, words and compose record failures only through
+:func:`_class_records` and :func:`_same_vectors`: the inputs, then
+``basis`` or ``vector``, then ``lhs``, ``rhs``.  Bruhat lower intervals
+are subword sets.
 """
 
 from __future__ import annotations
@@ -330,8 +330,8 @@ def check_compose(
     """Composites multiply along lengths, and every generator is idempotent.
 
     (u, v' s_j) inherits "u's column is uv's tree column" from (u, v') across a tree
-    edge of uv'; a non-tree edge is walked once per call (846 pair walks -> 60 on
-    A3 N=5), and only below a pair that differed is a column walked on its own."""
+    edge of uv'; a non-tree edge is walked once per call, and only below a pair
+    that differed is a column walked on its own."""
     rng = rng or random.Random(0)
     report = CheckReport("compose")
     n = max(pair_bound, basis_bound)

@@ -308,13 +308,21 @@ def specialize_at_identity(a: GroupRingElement) -> FieldElement:
 
 # HeckeElement and SchubertVector are generic over their coefficient ring;
 # these two small descriptors carry the parameters and build constants.
-# Each is equal and hashed by its parameters within its class.
 
 
-class _Frozen:
-    """Slots set once by ``__init__``; assigning or deleting one raises AttributeError."""
+class _Ring:
+    """A ring descriptor keyed by the parameters ``_fields`` names, set once with
+    their tuple ``_values``, after which assigning or deleting a slot raises
+    AttributeError.  Equal only within its class, hashed and pickled by the
+    values, shown as ``PrimeField(p=3)``; ``zero`` and ``one`` come from ``from_int``."""
 
-    __slots__ = ()
+    __slots__ = ("_values",)
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -322,38 +330,40 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
 
-class PrimeField(_Frozen):
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
+
+class PrimeField(_Ring):
     """GF(p) for a prime p."""
 
     __slots__ = ("p",)
+    _fields = ("p",)
 
     def __init__(self, p: int):
-        object.__setattr__(self, "p", _check_prime(p))
-
-    def __eq__(self, other):
-        if type(other) is not PrimeField:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p!r})"
-
-    def __reduce__(self):
-        return PrimeField, (self.p,)
+        super().__init__(_check_prime(p))
 
     @property
     def field(self) -> PrimeField:
         return self
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self.p, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self.p, 1)
 
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self.p, n)
@@ -367,42 +377,22 @@ class PrimeField(_Frozen):
         return {key: FieldElement(p, r) for key, raw in acc.items() if (r := raw % p)}
 
 
-class TorusRing(_Frozen):
+class TorusRing(_Ring):
     """The torus group ring over GF(p) in ``nvars`` exponents.
 
     ``field`` is GF(p), built once per ring: coefficients specialize into
-    it.  It takes no part in equality, hashing or repr.
+    it.  It is not one of the ring's ``_fields``.
     """
 
     __slots__ = ("p", "nvars", "field")
+    _fields = ("p", "nvars")
 
     def __init__(self, p: int, nvars: int):
         field = PrimeField(p)
         if nvars < 1:
             raise ValueError("torus ring needs at least one exponent")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
+        super().__init__(p, nvars)
         object.__setattr__(self, "field", field)
-
-    def __eq__(self, other):
-        if type(other) is not TorusRing:
-            return NotImplemented
-        return self.p == other.p and self.nvars == other.nvars
-
-    def __hash__(self):
-        return hash((self.p, self.nvars))
-
-    def __repr__(self):
-        return f"TorusRing(p={self.p!r}, nvars={self.nvars!r})"
-
-    def __reduce__(self):
-        return TorusRing, (self.p, self.nvars)
-
-    def zero(self) -> GroupRingElement:
-        return GroupRingElement(self.p, self.nvars)
-
-    def one(self) -> GroupRingElement:
-        return GroupRingElement(self.p, self.nvars, {(0,) * self.nvars: 1})
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> GroupRingElement:
         return GroupRingElement(self.p, self.nvars, {tuple(exponents): coeff})

@@ -192,10 +192,12 @@ def grassmannian_pullback(g: GrassmannianVector) -> SchubertVector:
 
 
 def is_spherical_key(system: RootSystem, w: AffineWeylElement) -> bool:
-    """True iff w is the longest finite element times a dominant translation."""
-    w0 = weyl.longest_finite_element(system)
-    t = w0 * w
-    return t.finite.is_identity() and system.is_dominant(t.translation)
+    """True iff w is w0 t^lam, lam dominant; as w0 t^lam = t^(w0 lam) w0, iff
+    w's finite part is w0's and minus w's translation is dominant."""
+    if w.system is not system:
+        raise ValueError(f"key {w!r} lies in {w.system!r}, not {system!r}")
+    return (w.finite is weyl.longest_finite_element(system).finite
+            and system.is_dominant([-c for c in w.translation]))
 
 
 def spherical_act(lam: Vector, v: SchubertVector) -> SchubertVector:

@@ -501,15 +501,19 @@ def antidominant_orbit_rep(system: RootSystem, lam: Vector) -> Vector:
     return tuple(lam)
 
 
-def coxeter_order(system: RootSystem, i: int, j: int, cutoff: int = 12) -> int | None:
-    """Order of generator(i) * generator(j); None when infinite (above cutoff)."""
-    prod = generator(system, i) * generator(system, j)
-    x = prod
-    for order in range(1, cutoff + 1):
-        if x.is_identity():
-            return order
-        x = x * prod
-    return None
+_COXETER_ORDERS = (2, 3, 4, 6)  # m_ij for i != j, by a_ij a_ji; infinite from 4 on
+
+
+def coxeter_order(system: RootSystem, i: int, j: int) -> int | None:
+    """Order of generator(i) * generator(j), None when infinite: read off the
+    affine Cartan matrix (Kac, Infinite-dimensional Lie algebras, Prop. 3.13)."""
+    for k in (i, j):
+        if not 0 <= k <= system.rank:
+            raise ValueError(f"generator index {k} out of range 0..{system.rank}")
+    if i == j:
+        return 1
+    n = system.affine_cartan[i][j] * system.affine_cartan[j][i]
+    return _COXETER_ORDERS[n] if n < 4 else None
 
 
 # -- serialization -------------------------------------------------------

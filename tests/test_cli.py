@@ -279,6 +279,11 @@ def test_compute_parse_error_reports_position(capsys):
     assert "token 1" in err and "oops" in err
 
 
+def test_empty_expression_is_a_usage_error():
+    with pytest.raises(cli.UsageError, match="empty expression"):
+        cli.evaluate_expression(cli.build_root_system("A", 1), 3, [])
+
+
 def test_compute_unknown_operation(capsys):
     code, _, err = run(capsys, "compute", "--rank", "1", "frobnicate", "[0]")
     assert code == EXIT_USAGE and "unknown operation" in err

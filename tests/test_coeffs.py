@@ -52,6 +52,19 @@ def test_field_mixed_characteristics_rejected():
         FieldElement(3, 1) + FieldElement(5, 1)
 
 
+def test_field_subtraction_and_its_guards():
+    with pytest.raises(ValueError, match="mixed"):
+        FieldElement(3, 1) - FieldElement(5, 1)
+    assert FieldElement(5, 3) - FieldElement(5, 4) == FieldElement(5, 4)
+    assert FieldElement(5, 2) - FieldElement(5, 2) == FieldElement(5, 0)
+    for other in (1, 1.0, None):
+        for op in ("__add__", "__sub__", "__mul__"):
+            with pytest.raises(TypeError, match="expected FieldElement"):
+                getattr(FieldElement(5, 1), op)(other)
+    with pytest.raises(ZeroDivisionError, match="inverting 0"):
+        FieldElement(5, 10).inverse()
+
+
 def test_prime_field_descriptor_rejects_composites():
     # the ring checks its prime before its exponent count
     for args in ((6,), (4,), (1,), (9, 2), (4, 0)):
@@ -154,6 +167,14 @@ def test_canonical_form_never_stores_zero():
         b = _random_ring_element(ring, rng)
         for out in (a + b, a - b, a * b, -a):
             assert all(c % 3 for c in out.terms.values())
+
+
+def test_lift_field_keeps_the_characteristic():
+    ring = TorusRing(3, 2)
+    assert ring.lift_field(FieldElement(3, 2)) == ring.from_int(2)
+    assert ring.lift_field(FieldElement(3, 0)) == ring.zero()
+    with pytest.raises(ValueError, match="mixed characteristics 5 and 3"):
+        ring.lift_field(FieldElement(5, 1))
 
 
 def test_mixed_ring_parameters_rejected():

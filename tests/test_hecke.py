@@ -223,6 +223,12 @@ def test_multiply_rejects_mixed_parameters():
         hecke_unit(A2, GF3) + hecke_unit(C2, GF3)
 
 
+def test_basis_keys_from_another_system_rejected():
+    for key in (weyl.generator(C2, 0), weyl.identity_element(A1)):
+        with pytest.raises(ValueError, match="lies in"):
+            HeckeElement(A2, GF3, {key: 1})
+
+
 def test_zero_behaviour():
     z = hecke_zero(A2, GF3)
     h = basis_y(weyl.generator(A2, 0), GF3)

@@ -1,5 +1,6 @@
 """Demazure operators on Schubert classes and the module structures."""
 
+import itertools
 import random
 
 import pytest
@@ -428,6 +429,43 @@ def test_spherical_preconditions():
     bad = basis_class(weyl.identity_element(A2), T3_A2)
     with pytest.raises(ValueError, match="spherical"):
         spherical_act((1, 1), bad)
+
+
+@pytest.mark.parametrize("system", (A1, A2, C2, G2, A3), ids=("A1", "A2", "C2", "G2", "A3"))
+def test_spherical_keys_are_read_off_the_key(monkeypatch, system):
+    # w is spherical iff w0 w is a dominant translation: that product, against the
+    # check, which multiplies no elements, here and in spherical_act
+    w0 = weyl.longest_finite_element(system)
+    parts = [x for shell in weyl.enumerate_ball(system, 2) for x in shell
+             if not any(x.translation)] + [w0, w0 * weyl.generator(system, 1)]
+    keys = [weyl.translation_element(system, lam) * u
+            for lam in itertools.product(range(-2, 3), repeat=system.rank) for u in parts]
+    expected = [(t := w0 * w).finite.is_identity() and system.is_dominant(t.translation)
+                for w in keys]
+    assert 0 < sum(expected) < len(keys)
+    calls = []
+    mul = weyl.AffineWeylElement.__mul__
+    monkeypatch.setattr(weyl.AffineWeylElement, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    assert [is_spherical_key(system, w) for w in keys] == expected
+    escaped = next(w for w, ok in zip(keys, expected) if not ok)
+    ring = torus_ring(system, 3)
+    v = SchubertVector(system, ring, {**{w: 1 for w, ok in zip(keys, expected) if ok},
+                                      escaped: 1})
+    with pytest.raises(ValueError, match="spherical"):
+        spherical_act((0,) * system.rank, v)
+    assert not calls
+
+
+def test_spherical_key_of_another_system_rejected():
+    for key in (weyl.longest_finite_element(C2), weyl.identity_element(A1)):
+        with pytest.raises(ValueError, match="lies in"):
+            is_spherical_key(A2, key)
+
+
+def test_class_keys_from_another_system_rejected():
+    with pytest.raises(ValueError, match="lies in"):
+        SchubertVector(A2, T3_A2, {weyl.generator(C2, 0): 1})
 
 
 # -- specialization ----------------------------------------------------------------------

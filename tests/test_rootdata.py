@@ -200,6 +200,13 @@ def test_dominance_examples():
     assert a2.is_dominant((1, 1)) is True
 
 
+def test_dominance_checks_the_coweight_length():
+    a2 = build_root_system("A", 2)
+    for lam in ((1,), (1, 1, 1), ()):
+        with pytest.raises(ValueError, match=f"length {len(lam)} for rank 2"):
+            a2.is_dominant(lam)
+
+
 def test_dominance_equals_positive_root_condition():
     for lie_type, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(lie_type, rank)

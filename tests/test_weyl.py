@@ -67,6 +67,43 @@ def test_generator_index_range():
         generator(A2, 3)
 
 
+def test_translation_coweight_length_checked():
+    for lam in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"length {len(lam)} for rank 2"):
+            translation_element(A2, lam)
+
+
+def _order_by_powers(system, i, j, cutoff=12):
+    prod = x = generator(system, i) * generator(system, j)
+    for order in range(1, cutoff + 1):
+        if x.is_identity():
+            return order
+        x = x * prod
+    return None
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 1), ("A", 2), ("C", 2), ("G", 2), ("B", 3),
+                                           ("D", 4)], ids=("A1", "A2", "C2", "G2", "B3", "D4"))
+def test_coxeter_orders_are_read_off_the_cartan_matrix(monkeypatch, lie_type, rank):
+    # the order of s_i s_j by powering the product, against coxeter_order, which
+    # multiplies no elements
+    system = build_root_system(lie_type, rank)
+    pairs = [(i, j) for i in range(rank + 1) for j in range(rank + 1)]
+    expected = {(i, j): _order_by_powers(system, i, j) for i, j in pairs}
+    calls = []
+    mul = AffineWeylElement.__mul__
+    monkeypatch.setattr(AffineWeylElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    assert {(i, j): weyl.coxeter_order(system, i, j) for i, j in pairs} == expected
+    assert not calls
+    assert (expected[0, 1] is None) == (system is A1)
+
+
+def test_coxeter_order_index_range():
+    for i, j in ((3, 0), (0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range 0..2"):
+            weyl.coxeter_order(A2, i, j)
+
+
 def test_from_word_equals_the_generator_fold():
     # one walk on raw state lands on the element, and the part object, that
     # multiplying by one generator at a time reaches
@@ -490,6 +527,11 @@ def test_bruhat_examples():
     for x in flat_ball(A2, 3):
         assert bruhat_leq(identity_element(A2), x)
         assert bruhat_leq(x, x)
+
+
+def test_bruhat_across_systems_rejected():
+    with pytest.raises(ValueError, match="across different root systems"):
+        bruhat_leq(identity_element(A2), generator(C2, 1))
 
 
 def test_bruhat_matches_subword_oracle():

@@ -171,14 +171,13 @@ MUTANTS = {
         (COEFFS, "and (self._first, self._second) == (other._first, other._second)",
          "and self._first == other._first", 1),
     ],
-    # the ring descriptors and the check report: validation, equality and JSON by hand
+    # the ring descriptors, keyed by their fields in one base, and the check report's JSON
     "prime-field-skips-primality-check": [
-        (COEFFS, 'object.__setattr__(self, "p", _check_prime(p))',
-         'object.__setattr__(self, "p", p)', 1),
+        (COEFFS, "super().__init__(_check_prime(p))", "super().__init__(p)", 1),
     ],
     "torus-ring-eq-ignores-nvars": [
-        (COEFFS, "return self.p == other.p and self.nvars == other.nvars",
-         "return self.p == other.p", 1),
+        (COEFFS, "return self._values == other._values",
+         "return self._values[:1] == other._values[:1]", 1),
     ],
     "check-report-drops-failures-from-json": [
         (CHECKS, '"failures": list(self.failures)', '"failures": []', 1),
@@ -190,6 +189,19 @@ MUTANTS = {
     ],
     "cache-accepts-any-shell-count": [
         (CLI, "                and len(shells) == n + 1\n", "", 1),
+    ],
+    # Coxeter orders off the affine Cartan matrix, spherical keys off the key
+    "coxeter-orders-4-and-6-swapped": [
+        (WEYL, "_COXETER_ORDERS = (2, 3, 4, 6)", "_COXETER_ORDERS = (2, 3, 6, 4)", 1),
+    ],
+    "spherical-key-skips-dominance": [
+        (KMODULE, "w.finite is weyl.longest_finite_element(system).finite\n"
+                  "            and system.is_dominant([-c for c in w.translation]))",
+         "w.finite is weyl.longest_finite_element(system).finite)", 1),
+    ],
+    "spherical-key-drops-the-sign": [
+        (KMODULE, "system.is_dominant([-c for c in w.translation])",
+         "system.is_dominant(w.translation)", 1),
     ],
     # interned finite parts, keyed by root indices: B3's and C3's keys coincide
     "one-part-table-for-all-systems": [
