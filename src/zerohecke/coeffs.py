@@ -137,7 +137,8 @@ class SparseElement:
     only when they share class and parameters.  A subclass canonicalizes and
     validates keys in ``_key``, orders them by ``_sort_key`` and formats one
     term in ``_term_repr``; the integer rings also reduce coefficients mod p
-    in ``_reduce``.  Since zeros are pruned, equality is dict equality.
+    in ``_reduce``.  The constructor checks each coefficient in ``_coeff``.
+    Since zeros are pruned, equality is dict equality.
     """
 
     __slots__ = ("_first", "_second", "terms")
@@ -146,7 +147,17 @@ class SparseElement:
         self._first, self._second = first, second
         self.terms = {}
         for key, c in (terms or {}).items():
-            self.add_term(self._key(key), c)
+            self.add_term(self._key(key), self._coeff(c))
+
+    def _coeff(self, c):
+        """c in the coefficient ring ``_second``: a plain int through its
+        ``from_int``, anything else only if it lies in that ring."""
+        ring = self._second
+        if type(c) is int:
+            return ring.from_int(c)
+        if c not in ring:
+            raise ValueError(f"coefficient {c!r} does not lie in {ring!r}")
+        return c
 
     def _reduce(self, c):
         return c
@@ -239,6 +250,11 @@ class _ModPRing(SparseElement):
 
     def _reduce(self, c):
         return c % self.p
+
+    def _coeff(self, c):
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an int")
+        return c
 
     def __mul__(self, other):
         self._check(other)
@@ -365,6 +381,9 @@ class PrimeField(_Ring):
     def field(self) -> PrimeField:
         return self
 
+    def __contains__(self, c) -> bool:
+        return type(c) is FieldElement and c.p == self.p
+
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self.p, n)
 
@@ -393,6 +412,9 @@ class TorusRing(_Ring):
             raise ValueError("torus ring needs at least one exponent")
         super().__init__(p, nvars)
         object.__setattr__(self, "field", field)
+
+    def __contains__(self, c) -> bool:
+        return type(c) is GroupRingElement and (c.p, c.nvars) == self._values
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> GroupRingElement:
         return GroupRingElement(self.p, self.nvars, {tuple(exponents): coeff})

@@ -64,8 +64,7 @@ def basis_y(w: AffineWeylElement, ring: Ring) -> HeckeElement:
 
 def basis_ytilde(w: AffineWeylElement, ring: Ring) -> HeckeElement:
     """The sign-twisted basis element, expressed in Y coordinates."""
-    sign = ring.from_int((-1) ** weyl.length(w))
-    return HeckeElement(w.system, ring, {w: sign})
+    return convert_basis(basis_y(w, ring), "y_to_ytilde")
 
 
 def convert_basis(h: HeckeElement, direction: str) -> HeckeElement:

@@ -127,7 +127,9 @@ def hecke_act(v: SchubertVector, h: HeckeElement) -> SchubertVector:
     """
     if v.system is not h.system:
         raise ValueError("module and algebra over different root systems")
-    if h.ring not in (v.ring, v.ring.field):
+    # identity first: the suites act with the module's own ring or its field
+    if (h.ring is not v.ring and h.ring is not v.ring.field
+            and h.ring not in (v.ring, v.ring.field)):
         raise ValueError(
             f"cannot act with coefficients in {h.ring!r} on a module over {v.ring!r}"
         )

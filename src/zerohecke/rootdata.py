@@ -43,68 +43,29 @@ from operator import mul, neg
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-VALID_TYPES = {
-    "A": lambda l: l >= 1,
-    "B": lambda l: l >= 2,
-    "C": lambda l: l >= 2,
-    "D": lambda l: l >= 4,
-    "E": lambda l: l in (6, 7, 8),
-    "F": lambda l: l == 4,
-    "G": lambda l: l == 2,
+
+def _chain(n: int) -> list[tuple[int, int, int, int]]:
+    """The simply-laced bonds of the chain of nodes 0, 1, ..., n - 1."""
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
+
+
+# Per Lie type: the ranks l it exists in, its number of positive roots (a
+# self-check on the generated roots, which one algorithm makes for all types)
+# and its Dynkin bonds (i, j, A[i][j], A[j][i]), A[i][j] = <coroot_i, root_j>.
+# Nodes form a chain 0, 1, ...; D attaches the last node to the
+# third-from-last, E to the fourth-from-last.  In B the last chain node is
+# short, in C it is long; in F nodes 2 and 3 are short, in G node 0.
+_TYPES = {
+    "A": (lambda l: l >= 1, lambda l: l * (l + 1) // 2, _chain),
+    "B": (lambda l: l >= 2, lambda l: l * l, lambda l: _chain(l - 1) + [(l - 2, l - 1, -1, -2)]),
+    "C": (lambda l: l >= 2, lambda l: l * l, lambda l: _chain(l - 1) + [(l - 2, l - 1, -2, -1)]),
+    "D": (lambda l: l >= 4, lambda l: l * (l - 1),
+          lambda l: _chain(l - 1) + [(l - 3, l - 1, -1, -1)]),
+    "E": (lambda l: l in (6, 7, 8), lambda l: {6: 36, 7: 63, 8: 120}[l],
+          lambda l: _chain(l - 1) + [(l - 4, l - 1, -1, -1)]),
+    "F": (lambda l: l == 4, lambda l: 24, lambda l: _chain(2) + [(1, 2, -1, -2), (2, 3, -1, -1)]),
+    "G": (lambda l: l == 2, lambda l: 6, lambda l: [(0, 1, -3, -1)]),
 }
-
-# Number of positive roots per family, used as a self-check on the
-# generated tables (the generation itself is one algorithm for all types).
-_POSITIVE_ROOT_COUNTS = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "E": lambda l: {6: 36, 7: 63, 8: 120}[l],
-    "F": lambda l: 24,
-    "G": lambda l: 6,
-}
-
-
-def _pairing_matrix(lie_type: str, rank: int) -> list[list[int]]:
-    """Matrix ``A[i][j] = <coroot_i, root_j>`` for one irreducible type.
-
-    Node numbering: types A-D and E use a chain 0,1,...; D attaches the
-    last node to the third-from-last, E attaches the last node to the
-    fourth-from-last.  In B the last chain node is short, in C it is long.
-    """
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def bond(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
-
-    if lie_type == "A":
-        for i in range(rank - 1):
-            bond(i, i + 1)
-    elif lie_type == "B":
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 2, rank - 1, -1, -2)
-    elif lie_type == "C":
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 2, rank - 1, -2, -1)
-    elif lie_type == "D":
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 3, rank - 1)
-    elif lie_type == "E":
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 4, rank - 1)
-    elif lie_type == "F":
-        bond(0, 1)
-        bond(1, 2, -1, -2)
-        bond(2, 3)
-    elif lie_type == "G":
-        bond(0, 1, -3, -1)
-    return a
 
 
 class RootSystem:
@@ -117,19 +78,22 @@ class RootSystem:
     """
 
     def __init__(self, lie_type: str, rank: int):
-        if lie_type not in VALID_TYPES or not VALID_TYPES[lie_type](rank):
+        if lie_type not in _TYPES or not _TYPES[lie_type][0](rank):
             raise ValueError(
                 f"invalid root system type ({lie_type!r}, {rank}): supported are "
                 "A(l>=1), B(l>=2), C(l>=2), D(l>=4), E(6,7,8), F(4), G(2)"
             )
         self.lie_type, self.rank = lie_type, rank
+        _, count, bonds = _TYPES[lie_type]
 
-        a = _pairing_matrix(lie_type, rank)
-        # spec convention: cartan[i][j] = <coroot_j, root_i>
-        self.cartan: Matrix = tuple(tuple(a[j][i] for j in range(rank)) for i in range(rank))
+        # spec convention: cartan[i][j] = <coroot_j, root_i> = A[j][i]
+        cartan = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+        for i, j, aij, aji in bonds(rank):
+            cartan[j][i], cartan[i][j] = aij, aji
+        self.cartan: Matrix = tuple(map(tuple, cartan))
 
         found = self._generate_positive_roots()
-        expected = _POSITIVE_ROOT_COUNTS[lie_type](rank)
+        expected = count(rank)
         if len(found) != expected:
             raise AssertionError(
                 f"root closure for {lie_type}{rank} produced "

@@ -454,17 +454,23 @@ def element_sort_key(x: AffineWeylElement):
 # -- distinguished elements and coset representatives --------------------
 
 
-@functools.lru_cache(maxsize=None)
-def longest_finite_element(system: RootSystem) -> AffineWeylElement:
-    """The longest element of the finite Weyl group, by greedy ascent."""
-    x = identity_element(system)
+def _greedy(x: AffineWeylElement, letters, descend: bool) -> AffineWeylElement:
+    """Multiply x on the right by the first letter that is a descent of it
+    (an ascent, with descend false) until none is: this ends at the shortest
+    (longest) element of x W_J, J the letters, W_J finite when ascending."""
     while True:
-        for i in range(1, system.rank + 1):
-            if not is_right_descent(x, i):
+        for i in letters:
+            if is_right_descent(x, i) == descend:
                 x = _mul_gen(x, i)
                 break
         else:
             return x
+
+
+@functools.lru_cache(maxsize=None)
+def longest_finite_element(system: RootSystem) -> AffineWeylElement:
+    """The longest element of the finite Weyl group, by greedy ascent."""
+    return _greedy(identity_element(system), range(1, system.rank + 1), False)
 
 
 def min_coset_rep(x: AffineWeylElement, parabolic) -> AffineWeylElement:
@@ -473,13 +479,7 @@ def min_coset_rep(x: AffineWeylElement, parabolic) -> AffineWeylElement:
     for i in parabolic:
         if not 0 <= i <= x.system.rank:
             raise ValueError(f"parabolic index {i} out of range 0..{x.system.rank}")
-    while True:
-        for i in sorted(parabolic):
-            if is_right_descent(x, i):
-                x = _mul_gen(x, i)
-                break
-        else:
-            return x
+    return _greedy(x, sorted(parabolic), True)
 
 
 def antidominant_rep(system: RootSystem, lam: Vector) -> AffineWeylElement:

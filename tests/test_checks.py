@@ -1,5 +1,6 @@
 """The property-check suites: green runs, determinism, mutation detection."""
 
+import importlib.util
 import itertools
 import json
 import random
@@ -424,6 +425,23 @@ def _fix_letter_zero_at_length_two(w, i):
     if i == 0 and weyl.length(w) == 2:
         return w
     return _TRUE_RULE(w, i)
+
+
+def test_identity_harness_types_the_same_broken_rules():
+    # tools/identity.py runs the suites under its own copies of the four rules above
+    spec = importlib.util.spec_from_file_location(
+        "identity", Path(__file__).resolve().parent.parent / "tools" / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    ours = {rule.__name__: rule for rule in (_flip_descent_branch, _swap_branches,
+                                             _stall_length_three, _fix_letter_zero_at_length_two)}
+    assert set(identity.BROKEN_RULES) == set(ours)
+    for system in (A2, build_root_system("G", 2)):
+        ball = [w for shell in weyl.enumerate_ball(system, 4) for w in shell]
+        for name in identity.BROKEN_RULES:
+            theirs = identity._broken_rule(weyl, _TRUE_RULE, name)
+            assert all(theirs(w, i) == ours[name](w, i)
+                       for w in ball for i in range(system.rank + 1)), name
 
 
 def _per_pair_compose(system, pair_bound, basis_bound):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zerohecke import kmodule, weyl
+from zerohecke import checks, coeffs, kmodule, weyl
 from zerohecke.coeffs import PrimeField, torus_ring
 from zerohecke.hecke import HeckeElement, basis_y, hecke_unit, multiply_hecke
 from zerohecke.kmodule import (
@@ -257,6 +257,22 @@ def test_action_lifts_prime_field_coefficients():
     v = basis_class(weyl.identity_element(A2), T3_A2)
     h = basis_y(weyl.generator(A2, 0), PrimeField(3))
     assert hecke_act(v, h) == basis_class(weyl.generator(A2, 0), T3_A2)
+
+
+def test_suite_actions_match_rings_by_identity(monkeypatch):
+    # both suites act with the module's own ring or its field, so the action's
+    # ring test never needs the descriptors' __eq__
+    calls = []
+    true_eq = coeffs._Ring.__eq__
+    monkeypatch.setattr(coeffs._Ring, "__eq__", lambda a, b: calls.append(b) or true_eq(a, b))
+    assert checks.check_specialize(A2, 3, n_instances=20, rng=random.Random(0)).passed
+    assert checks.check_xi(A2, 3, exhaustive_bound=2, n_random=5, rng=random.Random(0)).passed
+    assert calls == []
+    # a ring equal to the module's, but another object, still acts
+    assert hecke_act(basis_class(weyl.identity_element(A2), T3_A2),
+                     hecke_unit(A2, torus_ring(A2, 3))) == basis_class(weyl.identity_element(A2),
+                                                                      T3_A2)
+    assert calls
 
 
 

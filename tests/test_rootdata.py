@@ -80,6 +80,27 @@ def test_g2_closure():
     assert rs.num_positive_roots == 6
 
 
+# cartan[i][j] = <alpha_j^vee, alpha_i> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), typed
+# from the standard tables (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates II-IX)
+# in this package's node numbering: a chain 0, 1, ...; in B3 alpha_2 is short, in C3
+# long; D4 hangs node 3 on node 1, E6 node 5 on node 2; in F4 alpha_0 and alpha_1 are
+# long, alpha_2 and alpha_3 short; in G2 alpha_0 is short.
+STANDARD_CARTAN = {
+    ("B", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    ("C", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("D", 4): ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    ("E", 6): ((2, -1, 0, 0, 0, 0), (-1, 2, -1, 0, 0, 0), (0, -1, 2, -1, 0, -1),
+               (0, 0, -1, 2, -1, 0), (0, 0, 0, -1, 2, 0), (0, 0, -1, 0, 0, 2)),
+    ("F", 4): ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    ("G", 2): ((2, -1), (-3, 2)),
+}
+
+
+@pytest.mark.parametrize("lie_type,rank", STANDARD_CARTAN)
+def test_cartan_matrices_match_the_standard_tables(lie_type, rank):
+    assert build_root_system(lie_type, rank).cartan == STANDARD_CARTAN[lie_type, rank]
+
+
 @pytest.mark.parametrize("lie_type,rank", ALL_TYPES)
 def test_positive_roots_match_reflection_oracle(lie_type, rank):
     rs = build_root_system(lie_type, rank)

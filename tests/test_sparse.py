@@ -143,3 +143,29 @@ def test_scale_prunes_only_a_zero_scalar():
     assert not v.scale(T3.zero())
     h, _, _ = _hecke()
     assert not h.scale(FieldElement(3, 0))
+
+
+def test_constructors_check_every_coefficient():
+    # a ring-valued map reads a plain int in its ring and takes nothing of another
+    # ring; an int-valued map takes ints only, not floats, bools or field elements
+    e, s0 = weyl.identity_element(A2), weyl.generator(A2, 0)
+    foreign = [(hecke.HeckeElement, GF3, PrimeField(5).one()),
+               (hecke.HeckeElement, GF3, T3.one()),
+               (kmodule.SchubertVector, T3, TorusRing(5, 3).one()),
+               (kmodule.SchubertVector, T3, TorusRing(3, 4).one()),
+               (kmodule.SchubertVector, T3, GF3.one()),
+               (kmodule.SchubertVector, GF3, 1.0)]
+    for cls, ring, c in foreign:
+        with pytest.raises(ValueError, match="coefficient"):
+            cls(A2, ring, {e: c})
+    with pytest.raises(ValueError, match="coefficient"):
+        kmodule.GrassmannianVector(A2, GF3, {(0, 0): FieldElement(5, 1)})
+    for c in (1.5, True, GF3.one()):
+        with pytest.raises(ValueError, match="coefficient"):
+            T3.monomial((0, 0, 0), c)
+        with pytest.raises(ValueError, match="coefficient"):
+            monoid_monomial(A2, 3, (0, 0), c)
+    assert hecke.HeckeElement(A2, GF3, {e: 4, s0: 3}) == hecke.basis_y(e, GF3)
+    assert kmodule.SchubertVector(A2, T3, {e: -1}) == kmodule.basis_class(e, T3).scale(
+        T3.from_int(2))
+    assert hecke.HeckeElement(A2, GF3, {e: 4}).terms[e] == FieldElement(3, 1)

@@ -219,6 +219,16 @@ MUTANTS = {
         (WEYL, "reversed(_part_word(system, self.finite))",
          "reversed(_part_word(system, self.finite)[1:])", 1),
     ],
+    # the per-type table's Dynkin bonds, and the greedy walk to w0 and to coset minima
+    "f4-bond-short-and-long-swapped": [
+        (ROOTDATA, "(1, 2, -1, -2)", "(1, 2, -2, -1)", 1),
+    ],
+    "b-end-bond-flipped": [
+        (ROOTDATA, "(l - 2, l - 1, -1, -2)", "(l - 2, l - 1, -2, -1)", 1),
+    ],
+    "greedy-walk-runs-the-wrong-way": [
+        (WEYL, "if is_right_descent(x, i) == descend:", "if is_right_descent(x, i) != descend:", 1),
+    ],
     # the root table: dual rows, coroots, negated rows and the reflection memo
     "identity-records-untransposed": [
         (ROOTDATA, "zip(units, units, self.cartan)", "zip(units, units, zip(*self.cartan))", 1),
