@@ -221,7 +221,7 @@ def _bound_box(name: str, system: RootSystem, max_coord: int, max_elements: int)
 
 @_timed
 def check_length_formula(system: RootSystem, max_coord: int = 3,
-                         max_elements: int = 1_000_000) -> CheckReport:
+                         max_elements: int = weyl.MAX_ELEMENTS) -> CheckReport:
     """Translation length equals the pairing against the positive-root sum,
     over the (max_coord + 1)^rank coweights of a box, at most ``max_elements``."""
     _bound_box("length-formula", system, max_coord, max_elements)
@@ -244,7 +244,7 @@ def check_braid(
     basis_bound: int = 6,
     n_random: int = 20,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """Alternating Demazure words of the Coxeter order agree, per generator pair."""
     rng = rng or random.Random(0)
@@ -273,7 +273,7 @@ def check_words(
     basis_bound: int = 7,
     n_random: int = 5,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """Every reduced word of an element induces the same operator.
 
@@ -325,7 +325,7 @@ def check_compose(
     basis_bound: int = 6,
     n_random: int = 20,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """Composites multiply along lengths, and every generator is idempotent.
 
@@ -394,7 +394,7 @@ def check_xi(
     exhaustive_bound: int = 4,
     n_random: int = 1000,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """The basis relabeling intertwines the algebra product with the action."""
     rng = rng or random.Random(0)
@@ -438,7 +438,7 @@ def check_theta(
     max_coord: int = 2,
     n_random: int = 50,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """The dominant-monoid embedding is multiplicative on translations,
     over the (max_coord + 1)^rank box of coweights, at most ``max_elements``."""
@@ -476,7 +476,7 @@ def check_spherical(
     p: int,
     max_coord: int = 4,
     pair_coord: int = 2,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """The pulled-back submodule is free of rank one over the dominant monoid,
     over the (max(max_coord, pair_coord) + 1)^rank box of coweights, at most
@@ -544,7 +544,7 @@ def check_specialize(
     n_instances: int = 1000,
     key_bound: int = 4,
     rng: random.Random | None = None,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """Specializing at the torus identity intertwines the right action."""
     rng = rng or random.Random(0)
@@ -575,7 +575,7 @@ def check_specialize(
 
 @_timed
 def check_bruhat_oracle(
-    system: RootSystem, max_len: int = 5, max_elements: int = 1_000_000
+    system: RootSystem, max_len: int = 5, max_elements: int = weyl.MAX_ELEMENTS
 ) -> CheckReport:
     """Descent-peeling Bruhat order equals subword containment, by one set per w."""
     report = CheckReport("bruhat-oracle")
@@ -629,7 +629,7 @@ SUITES = {
 
 def run_suite(
     name: str, system: RootSystem, p: int, max_length: int, seed: int = 0,
-    max_elements: int = 1_000_000,
+    max_elements: int = weyl.MAX_ELEMENTS,
 ) -> CheckReport:
     """Run one named suite at a scale driven by the configured truncation;
     every ball a suite reads is enumerated under ``max_elements``, and every

@@ -16,7 +16,7 @@ import functools
 from collections.abc import Iterable, Mapping
 from operator import add
 
-from .rootdata import RootSystem, Vector
+from .rootdata import RootSystem, Vector, int_vector
 
 
 # Sorenson and Webster (Math. Comp. 2017): below this bound, a strong
@@ -251,7 +251,8 @@ class _ModPRing(SparseElement):
     def _reduce(self, c):
         return c % self.p
 
-    def _coeff(self, c):
+    @staticmethod
+    def _coeff(c):  # the one int rule of coefficients: a bool, float or string is none
         if type(c) is not int:
             raise ValueError(f"coefficient {c!r} is not an int")
         return c
@@ -299,10 +300,7 @@ class GroupRingElement(_ModPRing):
     p, nvars = SparseElement._first, SparseElement._second
 
     def _key(self, exp):
-        exp = tuple(int(e) for e in exp)
-        if len(exp) != self.nvars:
-            raise ValueError(f"exponent {exp} has length != {self.nvars}")
-        return exp
+        return int_vector(exp, self.nvars, "exponent")
 
     def _term_repr(self, exp, c):
         return f"{c}*x^{list(exp)}"
@@ -388,7 +386,7 @@ class PrimeField(_Ring):
         return FieldElement(self.p, n)
 
     def coeff_from_jsonable(self, data) -> FieldElement:
-        return FieldElement(self.p, int(data))
+        return FieldElement(self.p, _ModPRing._coeff(data))
 
     def wrap(self, acc: dict) -> dict:
         """Canonical terms from raw sums per key (see :func:`add_raw`)."""
@@ -461,7 +459,7 @@ class DominantMonoidElement(_ModPRing):
         super().__init__(system, _check_prime(p), terms)
 
     def _key(self, lam):
-        lam = tuple(int(x) for x in lam)
+        lam = int_vector(lam, self.system.rank)
         if not self.system.is_dominant(lam):
             raise ValueError(f"coweight {lam} is not dominant")
         return lam

@@ -21,7 +21,7 @@ import functools
 from . import hecke, weyl
 from .coeffs import PrimeField, SparseElement, TorusRing, add_raw, specialize_at_identity
 from .hecke import HeckeElement, Ring, basis_y
-from .rootdata import RootSystem, Vector
+from .rootdata import RootSystem, Vector, int_vector
 from .weyl import AffineWeylElement
 
 
@@ -88,10 +88,7 @@ def demazure_letters_apply(v: SchubertVector, letters) -> SchubertVector:
     >>> demazure_letters_apply(v, [0, 1])
     (FieldElement(3, 2))*[S(0, 1)]
     """
-    letters = tuple(letters)
-    for i in letters:
-        if not 0 <= i <= v.system.rank:
-            raise ValueError(f"operator index {i} out of range 0..{v.system.rank}")
+    letters = weyl._read_letters(v.system, letters, "operator")
     out = v._like({})
     for w, c in _walk(v.terms, letters):
         out.add_term(w, c)
@@ -168,7 +165,7 @@ class GrassmannianVector(SparseElement):
     system, ring = SparseElement._first, SparseElement._second
 
     def _key(self, lam):
-        return weyl.antidominant_orbit_rep(self.system, tuple(lam))
+        return weyl.antidominant_orbit_rep(self.system, lam)
 
     def _term_repr(self, lam, c):
         return f"({c!r})*[G{list(lam)}]"
@@ -209,7 +206,7 @@ def spherical_act(lam: Vector, v: SchubertVector) -> SchubertVector:
     action; the basis-level shift rule is a consequence checked in tests.
     """
     system = v.system
-    lam = tuple(int(c) for c in lam)
+    lam = int_vector(lam, system.rank)
     if not system.is_dominant(lam):
         raise ValueError(f"coweight {lam} is not dominant")
     for w in v.terms:

@@ -44,6 +44,17 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 
+def int_vector(data, n: int, what: str = "coweight") -> Vector:
+    """data as a tuple of exactly n ints, else ValueError (a bool, float or string is
+    no int): the one reader of coweights and exponent vectors, n their torus's rank."""
+    vec = tuple(data)
+    if len(vec) != n:
+        raise ValueError(f"{what} of length {len(vec)} for rank {n}")
+    if not set(map(type, vec)) <= {int}:
+        raise ValueError(f"{what} {vec} has an entry that is not an int")
+    return vec
+
+
 def _chain(n: int) -> list[tuple[int, int, int, int]]:
     """The simply-laced bonds of the chain of nodes 0, 1, ..., n - 1."""
     return [(i, i + 1, -1, -1) for i in range(n - 1)]
@@ -126,6 +137,7 @@ class RootSystem:
         self.affine_cartan: Matrix = tuple(
             tuple(sum(map(mul, self.coroot[j], self.dual[i])) for i in ends) for j in ends
         )
+        self.letters = frozenset(ends)  # the affine nodes: the letters of affine Weyl words
         # (p, k) per positive root: root p plus alpha_k, or alpha_k itself
         # when p = -1; p comes first, since roots go by height
         index = {beta: r for r, beta in enumerate(self.positive_roots)}
@@ -181,12 +193,8 @@ class RootSystem:
 
     def is_dominant(self, lam: Vector) -> bool:
         """True iff the coweight pairs >= 0 with every simple root."""
-        if len(lam) != self.rank:
-            raise ValueError(f"coweight of length {len(lam)} for rank {self.rank}")
-        return all(
-            sum(self.cartan[i][j] * lam[j] for j in range(self.rank)) >= 0
-            for i in range(self.rank)
-        )
+        lam = int_vector(lam, self.rank)
+        return all(sum(map(mul, row, lam)) >= 0 for row in self.cartan)
 
     def dominant_coweights(self, max_coord: int) -> list[Vector]:
         """All dominant coweights with coordinates in 0..max_coord."""

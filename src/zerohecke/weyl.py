@@ -35,11 +35,12 @@ from __future__ import annotations
 import functools
 from operator import add, mul, sub
 
-from .rootdata import RootSystem, Vector, build_root_system
+from .rootdata import RootSystem, Vector, build_root_system, int_vector
 
 __all__ = [
     "AffineWeylElement",
     "FinitePart",
+    "MAX_ELEMENTS",
     "ResourceBoundError",
     "all_reduced_words",
     "antidominant_orbit_rep",
@@ -66,6 +67,9 @@ __all__ = [
 
 class ResourceBoundError(RuntimeError):
     """An enumeration exceeded its configured resource bound."""
+
+
+MAX_ELEMENTS = 1_000_000  # the default bound on the elements one enumeration makes
 
 
 # -- elements ------------------------------------------------------------
@@ -219,6 +223,7 @@ def generator(system: RootSystem, i: int) -> AffineWeylElement:
     >>> (s1 * s1 * s1).finite is s1.finite
     True
     """
+    _read_letters(system, (i,))
     return _mul_gen(identity_element(system), i)
 
 
@@ -228,9 +233,7 @@ def generators(system: RootSystem) -> tuple[AffineWeylElement, ...]:
 
 def translation_element(system: RootSystem, lam: Vector) -> AffineWeylElement:
     """The pure translation by the coweight lam."""
-    if len(lam) != system.rank:
-        raise ValueError(f"coweight of length {len(lam)} for rank {system.rank}")
-    return AffineWeylElement(system, tuple(int(c) for c in lam), identity_element(system).finite)
+    return AffineWeylElement(system, int_vector(lam, system.rank), identity_element(system).finite)
 
 
 def _step(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> tuple[Vector, FinitePart]:
@@ -249,21 +252,27 @@ def _descends(system: RootSystem, lam: Vector, u: FinitePart, i: int) -> bool:
     return level < 0 if level else system.height[r] < 0
 
 
+def _read_letters(system: RootSystem, letters, what: str = "generator") -> tuple[int, ...]:
+    """letters as a tuple, else ValueError at the first that is no int in 0..rank (a bool,
+    float or string is none); a word passes at C speed, by its sets of types and letters."""
+    letters = tuple(letters)
+    if not (set(map(type, letters)) <= {int} and system.letters.issuperset(letters)):
+        bad = next(i for i in letters if type(i) is not int or i not in system.letters)
+        raise ValueError(f"{what} index {bad!r} out of range 0..{system.rank}")
+    return letters
+
+
 def from_word(system: RootSystem, letters) -> AffineWeylElement:
     """The product of the generators in letters, walked on raw state: one element in all."""
-    rank, e = system.rank, identity_element(system)
+    letters, e = _read_letters(system, letters), identity_element(system)
     lam, u = e.translation, e.finite
     for i in letters:
-        if not 0 <= i <= rank:
-            raise ValueError(f"generator index {i} out of range 0..{rank}")
         lam, u = _step(system, lam, u, i)
     return AffineWeylElement(system, lam, u)
 
 
 def _mul_gen(x: AffineWeylElement, i: int) -> AffineWeylElement:
-    """x times generator i."""
-    if not 0 <= i <= x.system.rank:
-        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
+    """x times generator i, a letter the library made or checked."""
     lam, part = _step(x.system, x.translation, x.finite, i)
     return AffineWeylElement(x.system, lam, part)
 
@@ -278,8 +287,8 @@ def is_right_descent(x: AffineWeylElement, i: int) -> bool:
     >>> is_right_descent(generator(rs, 0), 0)
     True
     """
-    if not 0 <= i <= x.system.rank:
-        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")
+    if type(i) is not int or i not in x.system.letters:
+        _read_letters(x.system, (i,))
     return _descends(x.system, x.translation, x.finite, i)
 
 
@@ -412,7 +421,7 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
 
 
 def enumerate_ball(
-    system: RootSystem, max_len: int, max_elements: int = 1_000_000
+    system: RootSystem, max_len: int, max_elements: int = MAX_ELEMENTS
 ) -> tuple[tuple[AffineWeylElement, ...], ...]:
     """All elements of length <= max_len, grouped by length, by reverse search.
 
@@ -475,26 +484,22 @@ def longest_finite_element(system: RootSystem) -> AffineWeylElement:
 
 def min_coset_rep(x: AffineWeylElement, parabolic) -> AffineWeylElement:
     """Minimal-length element of x * W_parabolic, by peeling descents."""
-    parabolic = frozenset(parabolic)
-    for i in parabolic:
-        if not 0 <= i <= x.system.rank:
-            raise ValueError(f"parabolic index {i} out of range 0..{x.system.rank}")
-    return _greedy(x, sorted(parabolic), True)
+    parabolic = _read_letters(x.system, parabolic, "parabolic")
+    return _greedy(x, sorted(set(parabolic)), True)
 
 
 def antidominant_rep(system: RootSystem, lam: Vector) -> AffineWeylElement:
     """The translation by an antidominant coweight, as its coset's minimum."""
-    if not system.is_dominant(tuple(-c for c in lam)):
-        raise ValueError(f"coweight {lam} is not antidominant")
     x = translation_element(system, lam)
-    finite_gens = frozenset(range(1, system.rank + 1))
-    assert x == min_coset_rep(x, finite_gens)
+    if not system.is_dominant(tuple(-c for c in x.translation)):
+        raise ValueError(f"coweight {lam} is not antidominant")
+    assert x == min_coset_rep(x, range(1, system.rank + 1))
     return x
 
 
 def antidominant_orbit_rep(system: RootSystem, lam: Vector) -> Vector:
     """The unique antidominant coweight in the finite Weyl orbit of lam."""
-    lam = [int(c) for c in lam]
+    lam = list(int_vector(lam, system.rank))
     while (i := next((i for i, row in enumerate(system.cartan)
                       if sum(map(mul, row, lam)) > 0), -1)) >= 0:
         lam[i] -= sum(map(mul, system.cartan[i], lam))  # s_i, as <lam, alpha_i> > 0
@@ -507,9 +512,7 @@ _COXETER_ORDERS = (2, 3, 4, 6)  # m_ij for i != j, by a_ij a_ji; infinite from 4
 def coxeter_order(system: RootSystem, i: int, j: int) -> int | None:
     """Order of generator(i) * generator(j), None when infinite: read off the
     affine Cartan matrix (Kac, Infinite-dimensional Lie algebras, Prop. 3.13)."""
-    for k in (i, j):
-        if not 0 <= k <= system.rank:
-            raise ValueError(f"generator index {k} out of range 0..{system.rank}")
+    _read_letters(system, (i, j))
     if i == j:
         return 1
     n = system.affine_cartan[i][j] * system.affine_cartan[j][i]
@@ -536,8 +539,7 @@ def check_element_jsonable(system: RootSystem, data) -> None:
             and type(data["lambda"]) is list and type(data["word"]) is list
             and all(type(c) is int for c in data["lambda"] + data["word"])):
         raise ValueError(f"malformed element {data!r}")
-    if len(data["lambda"]) != system.rank:
-        raise ValueError(f"lambda of length {len(data['lambda'])} for rank {system.rank}")
+    int_vector(data["lambda"], system.rank, "lambda")
     if any(not 1 <= i <= system.rank for i in data["word"]):
         raise ValueError(f"finite-part word {data['word']} has letters outside 1..{system.rank}")
 

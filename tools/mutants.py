@@ -128,8 +128,8 @@ MUTANTS = {
          "w = rule(w, i)\n        yield", 1),
     ],
     "letters-validated-first-only": [
-        (KMODULE, "for i in letters:\n        if not 0 <= i",
-         "for i in letters[:1]:\n        if not 0 <= i", 1),
+        (KMODULE, 'weyl._read_letters(v.system, letters, "operator")',
+         'weyl._read_letters(v.system, letters[:1], "operator") + tuple(letters[1:])', 1),
     ],
     # the right Hecke action and specialization
     "hecke-act-drops-scalar": [
@@ -274,14 +274,30 @@ MUTANTS = {
     ],
     # descents, length and reduced words
     "descent-index-unchecked": [
-        (WEYL, "    if not 0 <= i <= x.system.rank:\n"
-               '        raise ValueError(f"generator index {i} out of range 0..{x.system.rank}")\n'
-               "    return _descends(",
-         "    return _descends(", 1),
+        (WEYL, "    if type(i) is not int or i not in x.system.letters:\n"
+               "        _read_letters(x.system, (i,))\n", "", 1),
     ],
     "word-letters-unchecked": [
-        (WEYL, "        if not 0 <= i <= rank:\n"
-               '            raise ValueError(f"generator index {i} out of range 0..{rank}")\n', "", 1),
+        (WEYL, "letters, e = _read_letters(system, letters), identity_element(system)",
+         "e = identity_element(system)", 1),
+    ],
+    # the one check of letters, the one reader of integer vectors, the one int
+    # rule of coefficients
+    "letter-check-admits-bool": [
+        (WEYL, "set(map(type, letters)) <= {int}", "set(map(type, letters)) <= {int, bool}", 1),
+        (WEYL, "if type(i) is not int or i not in x.system.letters:",
+         "if not isinstance(i, int) or i not in x.system.letters:", 1),
+    ],
+    "vector-reader-skips-length-test": [
+        (ROOTDATA, "    if len(vec) != n:\n", "    if False:\n", 1),
+    ],
+    "vector-reader-admits-float": [
+        (ROOTDATA, "set(map(type, vec)) <= {int}", "set(map(type, vec)) <= {int, float}", 1),
+    ],
+    "coefficient-rule-admits-bool": [
+        (COEFFS, "        if type(c) is not int:\n            raise ValueError(f\"coefficient {c!r} is not an int\")",
+         "        if not isinstance(c, int):\n            raise ValueError(f\"coefficient {c!r} is not an int\")",
+         1),
     ],
     # Bruhat order and its Hasse diagram
     "bruhat-peels-word-forward": [
