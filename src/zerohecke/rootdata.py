@@ -186,6 +186,7 @@ class RootSystem:
                 f"dimension mismatch: rank is {self.rank}, got coweight of "
                 f"length {len(lam)} and root of length {len(beta)}"
             )
+        lam, beta = int_vector(lam, self.rank), int_vector(beta, self.rank, "root")
         return sum(
             beta[i] * sum(self.cartan[i][j] * lam[j] for j in range(self.rank))
             for i in range(self.rank)

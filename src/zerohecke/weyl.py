@@ -420,6 +420,11 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
 # -- enumeration ---------------------------------------------------------
 
 
+# One ball per root system: its shells from length 0 up, seeded with the
+# identity's and grown past the last only when a call reaches further.
+_BALLS: dict[RootSystem, list[tuple[AffineWeylElement, ...]]] = {}
+
+
 def enumerate_ball(
     system: RootSystem, max_len: int, max_elements: int = MAX_ELEMENTS
 ) -> tuple[tuple[AffineWeylElement, ...], ...]:
@@ -432,13 +437,16 @@ def enumerate_ball(
     shell k in order with i ascending thus leaves shell k + 1 sorted by
     canonical word.  y's pairs are x's changed as ``reduced_word`` peels i,
     so a rejected y is never built, and each kept y carries its word and
-    its length, the depth.
+    its length, the depth.  Shells are shared: a smaller ball is a prefix
+    of a larger one, made of the same objects, and the bound counts kept
+    shells as it counts new ones, none of which is kept past it.
     """
-    rows = system.affine_cartan
-    shells = [(identity_element(system),)]
+    rows, total = system.affine_cartan, 1
+    shells = _BALLS.setdefault(system, [(identity_element(system),)])
     for depth in range(1, max_len + 1):
-        nxt = []
-        for x in shells[-1]:
+        grow = depth == len(shells)
+        nxt = [] if grow else shells[depth]
+        for x in shells[-1] if grow else ():
             pairs = _root_pairs(x)
             for i, (level, height) in enumerate(pairs):
                 first = next((j for j, ((lj, hj), a) in enumerate(zip(pairs, rows[i][:i + 1]))
@@ -447,13 +455,14 @@ def enumerate_ball(
                     y = _mul_gen(x, i)
                     y._word, y._length = x._word + (i,), depth
                     nxt.append(y)
-        if sum(map(len, shells)) + len(nxt) > max_elements:
+        if (total := total + len(nxt)) > max_elements:
             raise ResourceBoundError(
                 f"ball enumeration exceeded {max_elements} elements at depth "
                 f"{depth} (completed depth {depth - 1})"
             )
-        shells.append(tuple(nxt))
-    return tuple(shells)
+        if grow:
+            shells.append(tuple(nxt))
+    return tuple(shells[:max(max_len, 0) + 1])
 
 
 def element_sort_key(x: AffineWeylElement):

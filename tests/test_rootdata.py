@@ -195,6 +195,15 @@ def test_pairing_dimension_mismatch():
         a2.pairing((1,), (0, 1))
 
 
+@pytest.mark.parametrize("lam", [(1.5, 0), (True, 0)])
+def test_pairing_reads_int_vectors(lam):
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="not an int"):
+        a2.pairing(lam, (1, 0))
+    with pytest.raises(ValueError, match="not an int"):
+        a2.pairing((1, 0), lam)
+
+
 @settings(max_examples=100)
 @given(
     lam=st.tuples(*[st.integers(-5, 5)] * 2),

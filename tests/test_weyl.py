@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zerohecke import weyl
+from zerohecke import checks, weyl
 from zerohecke.rootdata import RootSystem, build_root_system
 from zerohecke.weyl import (
     AffineWeylElement,
@@ -630,6 +630,94 @@ def test_ball_resource_bound():
     # shells of 1, 3, 6 and 9 elements: the shell at depth 3 takes the ball past 10
     assert str(info.value) == (
         "ball enumeration exceeded 10 elements at depth 3 (completed depth 2)")
+
+
+# -- the shared ball ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [(3, 5), (5, 3)])
+def test_smaller_ball_is_a_prefix_of_the_same_shells(monkeypatch, order):
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    balls = {n: enumerate_ball(A2, n) for n in order}
+    assert len(balls[3]) == 4 and len(balls[5]) == 6
+    assert all(small is large for small, large in zip(balls[3], balls[5]))
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 2), ("C", 2), ("G", 2)])
+def test_ball_grown_from_a_cleared_table_equals_bfs(monkeypatch, lie_type, rank):
+    # a cold call, then calls that each continue from the last shell kept
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    system = build_root_system(lie_type, rank)
+    expected = bfs_ball(system, 6)
+    for n in (0, 2, 6, 4):
+        assert enumerate_ball(system, n) == expected[:n + 1]
+    assert len(weyl._BALLS[system]) == 7
+
+
+# (N, max_elements): the message of a fresh enumeration on A2, whose running
+# totals are 1, 4, 10, 19, 31, 46, 64, 85; None where the ball fits
+_A2_BOUND_MESSAGES = {
+    (9, 10): "ball enumeration exceeded 10 elements at depth 3 (completed depth 2)",
+    (2, 4): "ball enumeration exceeded 4 elements at depth 2 (completed depth 1)",
+    (5, 1): "ball enumeration exceeded 1 elements at depth 1 (completed depth 0)",
+    (6, 0): "ball enumeration exceeded 0 elements at depth 1 (completed depth 0)",
+    (7, 27): "ball enumeration exceeded 27 elements at depth 4 (completed depth 3)",
+    (6, 46): "ball enumeration exceeded 46 elements at depth 6 (completed depth 5)",
+    (5, 46): None,
+    (0, 0): None,
+}
+
+
+def _bound_message(n, max_elements):
+    try:
+        enumerate_ball(A2, n, max_elements)
+    except ResourceBoundError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("pair", sorted(_A2_BOUND_MESSAGES), ids="N{0[0]}-bound{0[1]}".format)
+def test_bound_messages_do_not_depend_on_the_table(monkeypatch, pair):
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    assert _bound_message(*pair) == _A2_BOUND_MESSAGES[pair]
+    enumerate_ball(A2, 8)
+    assert _bound_message(*pair) == _A2_BOUND_MESSAGES[pair]
+
+
+def test_shell_past_the_bound_is_not_kept(monkeypatch):
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    with pytest.raises(ResourceBoundError):
+        enumerate_ball(A2, 9, max_elements=10)
+    assert [len(shell) for shell in weyl._BALLS[A2]] == [1, 3, 6]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_radius_zero_ball_under_a_zero_bound(monkeypatch, warm):
+    # a negative radius gives the identity shell, as radius 0 does
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    if warm:
+        enumerate_ball(A2, 4)
+    assert enumerate_ball(A2, 0, 0) == ((identity_element(A2),),)
+    assert enumerate_ball(A2, -2) == ((identity_element(A2),),)
+
+
+def test_b3_and_c3_keep_separate_balls():
+    for system in (build_root_system("B", 3), build_root_system("C", 3)):
+        ball = enumerate_ball(system, 3)
+        assert weyl._BALLS[system][:4] == list(ball)
+        assert all(x.system is system for shell in ball for x in shell)
+
+
+@pytest.mark.parametrize("name", ["words", "compose", "xi"])
+def test_suite_reports_match_with_a_cold_and_a_warm_table(monkeypatch, name):
+    def report():
+        data = checks.run_suite(name, A2, 3, 4).to_jsonable()
+        del data["elapsed"]
+        return data
+
+    monkeypatch.setattr(weyl, "_BALLS", {})
+    cold = report()
+    assert cold["instance_count"] and report() == cold
 
 
 # -- distinguished elements -------------------------------------------------------------

@@ -269,6 +269,17 @@ MUTANTS = {
     "ball-seeds-word-reversed": [
         (WEYL, "y._word, y._length = x._word + (i,)", "y._word, y._length = (i,) + x._word", 1),
     ],
+    # the one ball per root system: keyed by the system, a prefix per call, the
+    # bound on every shell a call reaches, kept or new
+    "ball-table-keyed-by-rank": [
+        (WEYL, "_BALLS.setdefault(system, [", "_BALLS.setdefault(system.rank, [", 1),
+    ],
+    "ball-prefix-one-short": [
+        (WEYL, "tuple(shells[:max(max_len, 0) + 1])", "tuple(shells[:max(max_len, 0)])", 1),
+    ],
+    "ball-bound-skips-kept-shells": [
+        (WEYL, "(total := total + len(nxt))", "(total := total + grow * len(nxt))", 1),
+    ],
     "element-equality-compares-matrices": [
         (WEYL, "and self.finite is other.finite", "and self.finite.key == other.finite.key", 1),
     ],
