@@ -114,19 +114,29 @@ def _config_system(args) -> RootSystem:
 
 
 def _dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False)
+    """Exactly ``json.dumps(data, indent=2)``, keys str, at one join per list, tuple or dict:
+    json's own encoder runs in pure Python whenever it indents."""
+    return _indented(data, "\n")
+
+
+def _indented(data, newline: str) -> str:
+    """data at indent 2 after newline: exact ints by str, other leaves and keys by json.dumps."""
+    inner = newline + "  "
+    if isinstance(data, dict) and data:
+        items = (f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in data.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(data, (list, tuple)) and data:
+        ints = set(map(type, data)) == {int}
+        items = map(str, data) if ints else (_indented(v, inner) for v in data)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(data)
 
 
 # -- ball cache -------------------------------------------------------------
 
 
 def _cache_dir(args) -> Path:
-    if args.cache:
-        return Path(args.cache)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "zerohecke"
+    return Path(args.cache or os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache/zerohecke")
 
 
 def _digest(body: dict) -> str:
@@ -179,9 +189,7 @@ def _load_or_build_ball(system: RootSystem, n: int, cache_dir: Path, max_element
 
 def cmd_enumerate(args) -> int:
     system = _config_system(args)
-    shells, _ = _load_or_build_ball(
-        system, args.max_length, _cache_dir(args), args.max_elements
-    )
+    shells, _ = _load_or_build_ball(system, args.max_length, _cache_dir(args), args.max_elements)
     groups = [{"length": k, "count": len(shell), "elements": shell}
               for k, shell in enumerate(shells)]
     if args.output_format == "table":

@@ -138,6 +138,9 @@ class RootSystem:
             tuple(sum(map(mul, self.coroot[j], self.dual[i])) for i in ends) for j in ends
         )
         self.letters = frozenset(ends)  # the affine nodes: the letters of affine Weyl words
+        # per node i, each (k, affine_cartan[i][k]) that is nonzero: the pairs peeling i moves
+        self.neighbours = tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                                for row in self.affine_cartan)
         # (p, k) per positive root: root p plus alpha_k, or alpha_k itself
         # when p = -1; p comes first, since roots go by height
         index = {beta: r for r, beta in enumerate(self.positive_roots)}

@@ -133,9 +133,22 @@ def _act(system: RootSystem, u: FinitePart, mu: Vector) -> Vector:
 
 
 def _part_word(system: RootSystem, u: FinitePart) -> tuple[int, ...]:
-    """The canonical word of u, peeled once from t^0 u and kept on u."""
+    """The canonical word of t^0 u, read off the heights of u(alpha_i) and kept on u: every
+    peel keeps pair 0 at level 1 and the others at level 0, so the smallest right descent
+    is the first i >= 1 of negative height, and peeling it takes a_ik h_i off each h_k."""
     if u._word is None:
-        u._word = reduced_word(AffineWeylElement(system, (0,) * system.rank, u))
+        heights, letters, nodes = [system.height[r] for r in u.key], [], range(1, len(u.key))
+        for _ in range(system.num_positive_roots):  # at most one letter per inversion
+            for i in nodes:
+                if heights[i] < 0:
+                    break
+            else:
+                break
+            letters.append(i)
+            h = heights[i]
+            for k, a in system.neighbours[i]:
+                heights[k] -= a * h
+        u._word = tuple(reversed(letters))
     return u._word
 
 
@@ -341,8 +354,7 @@ def reduced_word(x: AffineWeylElement) -> tuple[int, ...]:
     """
     if x._word is not None:
         return x._word
-    letters, pairs = [], _root_pairs(x)
-    rows = [[(k, a) for k, a in enumerate(row) if a] for row in x.system.affine_cartan]
+    letters, pairs, rows = [], _root_pairs(x), x.system.neighbours
     for _ in range(length(x)):
         for i, pair in enumerate(pairs):
             if pair < (0, 0):
@@ -533,10 +545,7 @@ def coxeter_order(system: RootSystem, i: int, j: int) -> int | None:
 
 def element_to_jsonable(x: AffineWeylElement) -> dict:
     """Element as translation coordinates plus the finite part's word."""
-    return {
-        "lambda": list(x.translation),
-        "word": list(_part_word(x.system, x.finite)),
-    }
+    return {"lambda": list(x.translation), "word": list(_part_word(x.system, x.finite))}
 
 
 def check_element_jsonable(system: RootSystem, data) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_checks import _flip_descent_branch
 
 from zerohecke import checks, cli, kmodule, weyl
 from zerohecke.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
@@ -711,3 +715,66 @@ def test_enumerate_and_graph_output_is_pinned(tmp_path, capsys):
         argv = (command, "--type", lie_type, "--rank", rank, "--max-length", n,
                 "--cache", str(tmp_path))
         assert _stdout_sha256(capsys, *argv) == digest, argv
+
+
+# -- the writer: json.dumps(indent=2) text, one join per container ----------------
+
+_LEAVES = (st.none() | st.booleans() | st.floats()
+           | st.integers(min_value=-(2**80), max_value=2**80) | st.text())
+_VALUES = st.recursive(
+    _LEAVES | st.lists(st.integers(min_value=-(2**80), max_value=2**80))
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(_VALUES)
+@example([1, True, False, 0])
+@example(({"a": (1, -2)}, (), [[]], {}, ([(),],)))
+@example({"\"\\\x00\x1fé \U0001f600": [-0.0, math.nan, math.inf, -math.inf],
+          "big": [2**64, -(2**64) - 1, 10**30], "": [None, True, "x\ty"]})
+@settings(max_examples=100, deadline=None)
+def test_writer_is_json_dumps_indent_two(value):
+    assert cli._dump(value) == json.dumps(value, indent=2)
+
+
+def _written(monkeypatch, capsys, *argv):
+    """The one value the command hands the writer, once its text is checked to be
+    json.dumps(value, indent=2) and to be what the command printed."""
+    values, dump = [], cli._dump
+
+    def spy(data):
+        values.append(data)
+        return dump(data)
+
+    monkeypatch.setattr(cli, "_dump", spy)
+    code, out, err = run(capsys, *argv)
+    (value,) = values
+    assert out == json.dumps(value, indent=2) + "\n", (argv, err)
+    return code, value
+
+
+_OPERAND_TOKENS = {"element": "[0,1,2,1]", "coweight": "e{1,1}", "hecke": "Y[0,1,2]",
+                   "schubert": "S[1,2,0]"}
+
+
+@pytest.mark.parametrize("op", [*cli._OPERATIONS, "hecke-mul"])
+def test_every_operation_is_written_as_json_dumps(monkeypatch, capsys, op):
+    kinds = ("hecke", "hecke", "hecke") if op == "hecke-mul" else cli._OPERATIONS[op][0]
+    code, _ = _written(monkeypatch, capsys, "compute", "--rank", "2", op,
+                       *map(_OPERAND_TOKENS.get, kinds))
+    assert code == EXIT_OK
+
+
+def test_enumerate_groups_and_check_reports_are_written_as_json_dumps(
+        tmp_path, monkeypatch, capsys):
+    code, groups = _written(monkeypatch, capsys, "enumerate", "--type", "G", "--rank", "2",
+                            "--max-length", "4", "--cache", str(tmp_path))
+    assert code == EXIT_OK and [g["length"] for g in groups] == [0, 1, 2, 3, 4]
+    code, reports = _written(monkeypatch, capsys, "check", "all", "--max-length", "3")
+    assert code == EXIT_OK and len(reports) == len(checks.SUITES)
+    monkeypatch.setattr(kmodule, "demazure_basis_target", _flip_descent_branch)
+    code, reports = _written(monkeypatch, capsys, "check", "all", "--max-length", "3")
+    assert code == EXIT_CHECK_FAILED and any(r["failures"] for r in reports)

@@ -1,5 +1,5 @@
 """The identity harness: its tiny corpus runs and repeats, and the full corpus
-covers every suite and every compute operation."""
+covers every suite, every compute operation and the check command."""
 
 import importlib.util
 import io
@@ -25,7 +25,7 @@ def _records(tmp_path, name):
 def test_tiny_corpus_repeats_and_compares(tmp_path, capsys):
     first, records = _records(tmp_path, "first.jsonl")
     second, again = _records(tmp_path, "second.jsonl")
-    assert records == again and len(records) == 7
+    assert records == again and len(records) == 9
     assert all(len(rec["sha256"]) == 64 for rec in records)
     assert identity.compare(first, second) == 0
     changed = records[0]["name"]
@@ -47,4 +47,5 @@ def test_full_corpus_names_every_suite_and_operation():
     operations = {name.split()[8] for name in names if name.startswith("cli compute ")}
     assert operations == {*cli._OPERATIONS, "hecke-mul"}  # the variadic one, apart
     assert any(name.startswith("cli graph ") for name in names)
+    assert any(name.startswith("cli check ") for name in names)
     assert any(name.startswith("cli enumerate --type E --rank 8 --max-length 6") for name in names)

@@ -471,6 +471,28 @@ def test_reduced_word_of_long_elements_is_the_smallest_descent_peel():
             assert reduced_word(x) == _reference_word(x), x
 
 
+def _peeled_part_word(system, u):
+    # the reference: the canonical word of t^0 u, peeled on its (level, height) pairs
+    return reduced_word(AffineWeylElement(system, (0,) * system.rank, u))
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,n",
+    [("A", 1, 8), ("A", 2, 6), ("B", 3, 4), ("C", 3, 4), ("D", 4, 4), ("E", 6, 3),
+     ("E", 8, 3), ("F", 4, 4), ("G", 2, 8)],
+)
+def test_part_word_read_off_heights_is_the_peel_of_t0_u(lie_type, rank, n):
+    system = build_root_system(lie_type, rank)
+    ball = flat_ball(system, n)
+    for u in {x.finite for x in ball} | {longest_finite_element(system).finite}:
+        word = _peeled_part_word(system, u)
+        # a copy outside the table has no word kept, so it is walked here
+        assert weyl._part_word(system, FinitePart(u.key)) == word, u
+        assert weyl._part_word(system, u) == word and u._word == word, u
+    for x in ball:
+        assert element_from_jsonable(system, element_to_jsonable(x)) == x, x
+
+
 def test_all_reduced_words_examples():
     assert all_reduced_words(identity_element(A1)) == ((),)
     # infinite dihedral: every element has exactly one reduced word

@@ -5,7 +5,8 @@ is taken over:
 
 - for a check report, its JSON with ``elapsed`` dropped;
 - after a seeded suite, the state of the generator it drew from;
-- for a command-line call, its exit status, stdout and stderr.
+- for a command-line call, its exit status, stdout and stderr, with each
+  ``elapsed`` value of a check report blanked.
 
 Run it once per version of the library and compare the two files; equal
 files mean the change kept every output byte-identical.
@@ -29,6 +30,7 @@ import importlib.util
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +49,10 @@ EXTRA_COMPUTE = [
     for t, r in (("A", 2), ("G", 2))
     for op, operand in (("xi", "Y[0,1,2,1]"), ("xi-inv", "S[0,1,2,1]"))
 ]
+# check calls, (type, rank, truncation N, suite), each in json and table format
+CHECK_CALLS = (("A", 2, 3, "all"), ("G", 2, 3, "compose"))
+# a report's run time, as JSON ("elapsed": 0.0123) and as a table (elapsed=0.01s)
+ELAPSED = re.compile(r'(elapsed"?[:=] ?)[-+.0-9e]+')
 
 
 def _workloads():
@@ -93,13 +99,18 @@ def _cli(zh, argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = zh.cli.main(argv)
-    return json.dumps([code, out.getvalue(), err.getvalue()])
+    return json.dumps([code, ELAPSED.sub(r"\1_", out.getvalue()), err.getvalue()])
 
 
 def _enumerate(zh, lie_type, rank, n, cache):
     argv = ["enumerate", "--type", lie_type, "--rank", str(rank), "--max-length", str(n),
             "--cache", cache]
     return {"cold": _cli(zh, argv), "warm": _cli(zh, argv)}
+
+
+def _check(zh, lie_type, rank, n, suite):
+    argv = ["check", "--type", lie_type, "--rank", str(rank), "--max-length", str(n), suite]
+    return {fmt: _cli(zh, argv + ["--format", fmt]) for fmt in ("json", "table")}
 
 
 def corpus(suites, tiny: bool = False, cache: str = ""):
@@ -117,6 +128,8 @@ def corpus(suites, tiny: bool = False, cache: str = ""):
                                        "len", "[0,1,2]"])}),
             ("cli enumerate --type A --rank 2 --max-length 2",
              lambda zh: _enumerate(zh, "A", 2, 2, cache)),
+            ("cli check --type A --rank 2 --max-length 3 compose",
+             lambda zh: _check(zh, "A", 2, 3, "compose")),
         ]
     entries = []
     for t, r, n in SYSTEMS:
@@ -134,6 +147,9 @@ def corpus(suites, tiny: bool = False, cache: str = ""):
     for t, r, n in workloads.BALLS + (("E", 8, 6),):
         entries.append((f"cli enumerate --type {t} --rank {r} --max-length {n}",
                         lambda zh, a=(t, r, n): _enumerate(zh, *a, cache)))
+    for t, r, n, suite in CHECK_CALLS:
+        entries.append((f"cli check --type {t} --rank {r} --max-length {n} {suite}",
+                        lambda zh, a=(t, r, n, suite): _check(zh, *a)))
     calls = [op["argv"] for op in workloads.generate("cli", 0) if "argv" in op] + EXTRA_COMPUTE
     for argv in calls:
         entries.append(("cli " + " ".join(argv), lambda zh, argv=argv: {"": _cli(zh, argv)}))

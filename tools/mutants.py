@@ -340,6 +340,21 @@ MUTANTS = {
         (WEYL, "pairs[k] = (pairs[k][0] - a * level, pairs[k][1] - a * height)",
          "pairs[k] = (pairs[k][0] - a * level, pairs[k][1])", 1),
     ],
+    # a finite part's word, read off the heights of u(alpha_1), ..., u(alpha_rank)
+    "part-word-scans-node-zero": [
+        (WEYL, "nodes = [system.height[r] for r in u.key], [], range(1, len(u.key))",
+         "nodes = [system.height[r] for r in u.key], [], range(len(u.key))", 1),
+    ],
+    "part-word-peels-largest-descent": [
+        (WEYL, "for i in nodes:", "for i in reversed(nodes):", 1),
+    ],
+    # the writer: json.dumps(indent=2) text, exact ints by str, tuples as lists
+    "dump-int-fast-path-admits-bool": [
+        (CLI, "set(map(type, data)) == {int}", "set(map(type, data)) <= {int, bool}", 1),
+    ],
+    "dump-tuple-not-a-list": [
+        (CLI, "isinstance(data, (list, tuple)) and data", "isinstance(data, list) and data", 1),
+    ],
     # the greedy product, a path of its own beside the Demazure walk
     "demazure-product-steps-on-a-descent": [
         (HECKE, "if not weyl._descends(system, lam, u, i):",
